@@ -18,6 +18,7 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -42,6 +43,27 @@ def topology() -> dict:
     }
 
 
+def git_revision() -> dict:
+    """The commit the measured source came from, and whether it was edited.
+
+    Both fields are None outside a git checkout.
+    """
+    root = pathlib.Path(__file__).parent.parent
+
+    def git(*args):
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--", "src") if sha else None
+    return {"git_sha": sha, "git_dirty": None if status is None else bool(status)}
+
+
 def emit(experiment: str, text: str) -> None:
     """Print a result table and persist it under benchmarks/results/."""
     banner = f"==== {experiment} ===="
@@ -59,13 +81,15 @@ def emit_json(bench: str, payload: dict) -> pathlib.Path:
         {bench, config, wall_ms, obligations, tier_counts}
 
     Extra keys are allowed; ``bench`` is filled in from the argument so
-    callers cannot mislabel a file, and ``topology`` is filled in from
+    callers cannot mislabel a file, ``topology`` is filled in from
     :func:`topology` unless the caller already recorded one (fleet benches
-    extend it with their worker counts).  CI picks these up as artifacts.
+    extend it with their worker counts), and ``git_sha`` / ``git_dirty``
+    from :func:`git_revision`.  CI picks these up as artifacts.
     """
     record = dict(payload)
     record["bench"] = bench
     record.setdefault("topology", topology())
+    record.update(git_revision())
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{bench}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True, default=str) + "\n")

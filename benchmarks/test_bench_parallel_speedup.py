@@ -1,19 +1,19 @@
-"""E8 — wall-clock payoff of the verdict cache and parallel dispatch.
+"""E8 — wall-clock payoff of the verdict cache.
 
 The engine's obligations are heavily shared: a tier-1/2 verdict depends
 only on (assertion formula, source, statement, assumption), never on the
 target transaction, so the same interference question recurs across
 levels of the chooser ladder and across targets (docs/PERFORMANCE.md).
 This bench runs the full 5-level analysis of tpcc-lite — the largest
-bundled application — three ways:
+bundled application — three ways, all in one thread:
 
-* ``serial_cold``   — workers=1, cache disabled: the seed baseline;
-* ``cached_cold``   — workers=1, empty shared cache: measures hit rate;
-* ``warm_workers4`` — workers=4 against the now-warm cache.
+* ``serial_cold`` — cache disabled: the seed baseline;
+* ``cached_cold`` — empty cache: measures the hit rate of one cold run;
+* ``warm``        — the same run again against the now-warm cache.
 
-and asserts the headline claims: >= 1.5x speedup for the warm parallel
-run, >= 30% hit rate on a cold full multi-level run, and identical
-verdicts under every configuration.
+and asserts the headline claims: >= 1.5x speedup for the warm run, >= 30%
+hit rate on a cold full multi-level run, and identical verdicts under
+every configuration.
 """
 
 import time
@@ -53,11 +53,9 @@ def _verdict_map(report):
     return digest
 
 
-def _run(cache, workers):
+def _run(cache):
     app = tpcc.make_application()
-    checker = InterferenceChecker(
-        app.spec, budget=BUDGET, seed=SEED, cache=cache, workers=workers
-    )
+    checker = InterferenceChecker(app.spec, budget=BUDGET, seed=SEED, cache=cache)
     start = time.perf_counter()
     report = analyze_application(
         app, checker, ladder=EXTENDED_LADDER, include_snapshot=True
@@ -76,20 +74,20 @@ def _cold_hit_rate(checker):
 @pytest.fixture(scope="module")
 def runs():
     clear_prover_caches()
-    baseline = _run(VerdictCache(enabled=False), workers=1)
+    baseline = _run(VerdictCache(enabled=False))
 
     clear_prover_caches()
     cache = VerdictCache()
-    cached_cold = _run(cache, workers=1)
-    warm = _run(cache, workers=4)
-    return {"serial_cold": baseline, "cached_cold": cached_cold, "warm_workers4": warm}
+    cached_cold = _run(cache)
+    warm = _run(cache)
+    return {"serial_cold": baseline, "cached_cold": cached_cold, "warm": warm}
 
 
 def test_bench_parallel_speedup(runs):
-    """Warm cache + workers=4 beats the seed serial baseline by >= 1.5x."""
+    """A warm cache beats the seed serial baseline by >= 1.5x."""
     _, base_checker, base_wall = runs["serial_cold"]
     _, cold_checker, cold_wall = runs["cached_cold"]
-    _, warm_checker, warm_wall = runs["warm_workers4"]
+    _, warm_checker, warm_wall = runs["warm"]
 
     speedup = base_wall / warm_wall
     assert speedup >= 1.5, f"warm run only {speedup:.2f}x faster than serial baseline"
@@ -99,7 +97,7 @@ def test_bench_parallel_speedup(runs):
          base_checker.stats["cache_hits"]),
         ("cached_cold", f"{cold_wall * 1000:.0f}",
          f"{base_wall / cold_wall:.2f}", cold_checker.stats["cache_hits"]),
-        ("warm_workers4", f"{warm_wall * 1000:.0f}",
+        ("warm", f"{warm_wall * 1000:.0f}",
          f"{speedup:.2f}", warm_checker.stats["cache_hits"]),
     ]
     emit(
@@ -118,12 +116,12 @@ def test_bench_parallel_speedup(runs):
                 "seed": SEED,
                 "ladder": list(EXTENDED_LADDER),
                 "snapshot": True,
-                "workers": {"serial_cold": 1, "cached_cold": 1, "warm_workers4": 4},
+                "workers": 1,
             },
             "wall_ms": {
                 "serial_cold": round(base_wall * 1000, 1),
                 "cached_cold": round(cold_wall * 1000, 1),
-                "warm_workers4": round(warm_wall * 1000, 1),
+                "warm": round(warm_wall * 1000, 1),
             },
             "obligations": sum(tier_counts.values()) + base_checker.stats["assumed"],
             "tier_counts": tier_counts,
@@ -140,10 +138,10 @@ def test_cold_hit_rate_exceeds_30_percent(runs):
 
 
 def test_verdicts_identical_across_configurations(runs):
-    """Cache and parallelism are invisible to the analysis outcome."""
+    """The cache is invisible to the analysis outcome."""
     base_report, _, _ = runs["serial_cold"]
     cold_report, _, _ = runs["cached_cold"]
-    warm_report, _, _ = runs["warm_workers4"]
+    warm_report, _, _ = runs["warm"]
 
     base = _verdict_map(base_report)
     assert _verdict_map(cold_report) == base

@@ -66,7 +66,7 @@ def _run(cache, hash_consing=True, fast_path=True):
     try:
         # the app is built under the flag so baseline terms are not interned
         app = tpcc.make_application()
-        checker = InterferenceChecker(app.spec, budget=BUDGET, workers=1, cache=cache)
+        checker = InterferenceChecker(app.spec, budget=BUDGET, cache=cache)
         start = time.process_time()
         report = analyze_application(
             app, checker, ladder=EXTENDED_LADDER, include_snapshot=True

@@ -11,10 +11,10 @@
 * :mod:`repro.apps.tpcc` — TPC-C-lite, the paper's stated future work.
 
 :func:`registry` maps short names to application factories.  It is the
-addressing scheme of the process-parallel backend: applications embed
+addressing scheme of job specs and the service: applications embed
 closures (abstract-predicate evaluators, domain constraints) that cannot
-cross a process boundary, so workers receive a registry name and rebuild
-the application on their side.
+cross a process boundary, so fleet workers receive a registry name and
+rebuild the application on their side.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ import sys
 
 from repro.core.cache import VerdictCache, shared_cache
 from repro.core.conditions import LEVEL_ORDER
-from repro.core.parallel import resolve_workers
 from repro.core.report import analysis_stats_table, failure_details, level_table
 from repro.errors import ReproError
 
@@ -171,8 +170,6 @@ def cmd_analyze(args) -> int:
     job = run_job(
         spec,
         cache=cache,
-        workers=resolve_workers(args.workers),
-        backend=args.backend,
         cache_dir=args.cache_dir,
         no_persist=args.no_persist or args.no_cache,
         checker_hook=checker_hook,
@@ -226,7 +223,6 @@ def cmd_certify(args) -> int:
     job = run_job(
         spec,
         workers=args.workers,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         no_persist=args.no_persist,
     )
@@ -300,7 +296,7 @@ def cmd_explore(args) -> int:
             max_depth=args.max_depth,
             pruning=not args.no_pruning,
             dpor=args.dpor,
-            workers=resolve_workers(args.workers),
+            workers=args.workers,
         )
         violations = []
         for schedule in result.results:
@@ -526,13 +522,12 @@ def cmd_infer(args) -> int:
             )
             return EXIT_USAGE
         refs = [args.app]
-    workers = resolve_workers(args.workers)
     jobs = []
     for ref in refs:
         spec = JobSpec(
             kind="infer", app=ref, budget=args.budget, seed=args.seed, profile=knobs
         )
-        jobs.append(run_job(spec, workers=workers))
+        jobs.append(run_job(spec))
     exit_code = max(job.exit_code for job in jobs)
     if args.json:
         if len(jobs) == 1:
@@ -652,8 +647,7 @@ def cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers if args.workers is not None else 2,
-        job_workers=args.job_workers,
+        workers=args.workers,
         window=args.window_ms / 1000.0,
         max_pending=args.queue_limit,
         max_body=args.max_body,
@@ -661,7 +655,6 @@ def cmd_serve(args) -> int:
         drain_timeout=args.drain_timeout,
         cache_dir=args.cache_dir,
         no_persist=args.no_persist,
-        backend=args.backend,
         persist_interval=persist_interval,
     )
     if args.fleet:
@@ -863,11 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--ladder", choices=("ansi", "extended"), default="ansi")
     analyze.add_argument("--snapshot", action="store_true", help="include Theorem 5 analysis")
     analyze.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan obligations/BMC chunks across N workers"
-        " (default: $REPRO_WORKERS or 1 = serial)",
-    )
-    analyze.add_argument(
         "--no-cache", action="store_true",
         help="disable the verdict cache (every obligation re-checked)",
     )
@@ -890,10 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-tier timing and cache hit/miss table",
     )
     analyze.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor for parallel obligation dispatch (with --workers > 1)",
-    )
-    analyze.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable report (schema: docs/PIPELINE.md)",
     )
@@ -907,12 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--seed", type=int, default=0)
     certify.add_argument("--budget", type=int, default=3000)
     certify.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan static obligations and exploration root branches across N threads",
-    )
-    certify.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor for parallel obligation dispatch (with --workers > 1)",
+        "--workers", type=int, default=1, metavar="N",
+        help="explore scenarios across N threads (the static chooser is serial)",
     )
     certify.add_argument(
         "--max-schedules", type=int, default=500,
@@ -967,7 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument("--budget", type=int, default=3000)
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--workers", type=int, default=None, metavar="N")
     _add_appgen_flags(infer)
     infer.add_argument("--json", action="store_true")
     infer.set_defaults(func=cmd_infer)
@@ -1056,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable all pruning (full DFS)",
     )
     explore.add_argument("--no-retry", action="store_true", help="no abort-retry loop")
-    explore.add_argument("--workers", type=int, default=None, metavar="N")
+    explore.add_argument("--workers", type=int, default=1, metavar="N")
     explore.add_argument("--json", action="store_true")
     explore.set_defaults(func=cmd_explore)
 
@@ -1102,12 +1081,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free port, announced on stdout)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=int, default=2, metavar="N",
         help="job worker pool size (default 2)",
-    )
-    serve.add_argument(
-        "--job-workers", type=int, default=1, metavar="N",
-        help="obligation fan-out width inside each job (default 1)",
     )
     serve.add_argument(
         "--window-ms", type=float, default=5.0,
@@ -1137,10 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-persist", action="store_true",
         help="never load or write the persistent verdict cache",
-    )
-    serve.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor for per-job obligation dispatch (with --job-workers > 1)",
     )
     serve.add_argument(
         "--fleet", type=int, default=0, metavar="N",

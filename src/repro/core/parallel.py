@@ -1,203 +1,27 @@
-"""Parallel fan-out for independent interference obligations and BMC chunks.
+"""Ordered thread map for independent work items.
 
-The obligations a per-level theorem demands are mutually independent — each
-is one Hoare-triple check — so they can be discharged concurrently.  The
-same holds one level down: the bounded model checker's outer loop enumerates
-initial states, and disjoint state chunks can be searched concurrently as
-long as the *reported* witness is the one the serial order would have found
-(see :func:`parallel_map`'s ordered early-stop discipline).
-
-Two executors are supported:
-
-* ``thread`` (default) — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  sharing the checker and its memo tables.  Safe for arbitrary applications
-  (closures in ``AbstractPred`` evaluators and domain constraints never
-  cross a process boundary).
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` whose
-  work units are picklable *references*: the application registry name, the
-  transaction and level, the obligation indices of the chunk, and the
-  checker configuration.  Workers rebuild the application from the registry
-  (:func:`repro.apps.registry`) and re-derive the obligation plan, which is
-  deterministic, so indices line up.
-
-``workers=1`` (the default, overridable with the ``REPRO_WORKERS``
-environment variable or the CLI ``--workers`` flag) bypasses the executors
-entirely and runs the exact serial loops the seed shipped with — the
-deterministic fallback the equality tests pin down.
+The static chooser runs in one thread: its obligations and BMC state scans
+are discharged serially against one checker and one verdict cache.  The
+one in-process fan-out left is the explorer's lite-DPOR root split
+(:mod:`repro.sched.explore`); analysis parallelism otherwise lives at the
+job level (the service's job pool) and the fleet level (one process per
+shard).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-#: Environment variable consulted when no explicit worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
 
-THREAD_BACKEND = "thread"
-PROCESS_BACKEND = "process"
+def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]``, across ``workers`` threads.
 
-
-def resolve_workers(value: int | None = None) -> int:
-    """Effective worker count: explicit value, else ``REPRO_WORKERS``, else 1."""
-    if value is not None:
-        return max(1, int(value))
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-@dataclass(frozen=True)
-class ParallelPolicy:
-    """How a level check distributes its obligations.
-
-    ``app_ref`` names the application in :func:`repro.apps.registry`; it is
-    required by (and only by) the process backend, whose workers must
-    rebuild the application on their side of the fork.  ``early_cancel``
-    stops dispatching once one obligation fails — useful while probing
-    ladder levels that will be rejected anyway — at the price of an
-    obligation list that only contains the checks that actually ran.
-    """
-
-    workers: int = 1
-    backend: str = THREAD_BACKEND
-    early_cancel: bool = False
-    app_ref: str | None = None
-
-    @property
-    def is_serial(self) -> bool:
-        return self.workers <= 1
-
-
-SERIAL_POLICY = ParallelPolicy()
-
-
-def chunked(items: Sequence, chunks: int) -> list:
-    """Split a sequence into at most ``chunks`` contiguous, ordered runs."""
-    if chunks <= 1 or len(items) <= 1:
-        return [list(items)] if items else []
-    size = max(1, (len(items) + chunks - 1) // chunks)
-    return [list(items[i : i + size]) for i in range(0, len(items), size)]
-
-
-def parallel_map(
-    fn: Callable,
-    items: Sequence,
-    workers: int,
-    stop_on: Callable | None = None,
-):
-    """Ordered map over independent items, optionally stopping early.
-
-    Returns ``(results, stopped_at)``.  ``results[i]`` is ``fn(items[i])``
-    for every evaluated item and ``None`` for items skipped by an early
-    stop; ``stopped_at`` is the index of the first item whose result
-    satisfied ``stop_on`` (``None`` when no stop fired).
-
-    Determinism: results are scanned in *input order* regardless of
-    completion order, so the reported first hit is the one a serial loop
-    would find.  Items after the hit may or may not have been evaluated;
-    their results are discarded either way.
+    Results come back in input order whatever the completion order, so a
+    caller that folds them gets the serial answer.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
-        results: list = [None] * len(items)
-        for index, item in enumerate(items):
-            result = fn(item)
-            results[index] = result
-            if stop_on is not None and stop_on(result):
-                return results, index
-        return results, None
-
-    results = [None] * len(items)
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
-        pending = set(futures)
-        done_results: dict = {}
-        scan = 0  # next input index to report, preserving serial order
-        stopped_at = None
-        while pending and stopped_at is None:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                done_results[futures[future]] = future.result()
-            while scan in done_results:
-                results[scan] = done_results.pop(scan)
-                if stop_on is not None and stop_on(results[scan]):
-                    stopped_at = scan
-                    break
-                scan += 1
-        if stopped_at is not None:
-            for future in pending:
-                future.cancel()
-            for index in range(stopped_at + 1, len(items)):
-                results[index] = None
-            return results, stopped_at
-        for future, index in futures.items():
-            if index not in done_results and results[index] is None and future.done():
-                done_results[index] = future.result()
-        while scan < len(items):
-            if scan in done_results:
-                results[scan] = done_results.pop(scan)
-                if stop_on is not None and stop_on(results[scan]):
-                    return results, scan
-            scan += 1
-    return results, None
-
-
-# ---------------------------------------------------------------------------
-# process backend
-# ---------------------------------------------------------------------------
-
-
-def _subprocess_discharge(work: tuple) -> list:
-    """Worker entry point: rebuild the app, re-derive the plan, discharge.
-
-    ``work`` is ``(app_ref, transaction, level, indices, config)`` where
-    ``config`` is the picklable checker configuration dict.  Returns
-    ``[(index, verdict), ...]`` — verdicts (including concrete witnesses)
-    pickle cleanly because they hold only dataclasses, dicts and strings.
-    """
-    app_ref, transaction, level, indices, config = work
-    from repro.apps import registry
-    from repro.core import conditions
-    from repro.core.interference import InterferenceChecker
-
-    app = registry()[app_ref]()
-    target = app.transaction(transaction)
-    checker = InterferenceChecker(app.spec, **config)
-    plan = conditions.plan_level(app, target, level)
-    out = []
-    for index in indices:
-        spec = plan[index]
-        if spec.excused is not None:
-            out.append((index, None))
-            continue
-        out.append((index, conditions.discharge_one(checker, spec)))
-    return out
-
-
-def process_discharge(
-    app_ref: str,
-    transaction: str,
-    level: str,
-    indices: Sequence[int],
-    config: dict,
-    workers: int,
-) -> dict:
-    """Fan obligation indices out across a process pool; returns {index: verdict}."""
-    out: dict = {}
-    batches = chunked(list(indices), workers)
-    if not batches:
-        return out
-    with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
-        jobs = [
-            pool.submit(_subprocess_discharge, (app_ref, transaction, level, batch, config))
-            for batch in batches
-        ]
-        for job in jobs:
-            for index, verdict in job.result():
-                out[index] = verdict
-    return out
+        return list(pool.map(fn, items))

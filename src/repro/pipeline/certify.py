@@ -414,7 +414,6 @@ def certify(
             checker,
             ladder=rungs,
             include_snapshot=include_snapshot,
-            policy=context.policy(app.name),
         )
     finally:
         if store is not None:

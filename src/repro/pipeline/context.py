@@ -1,10 +1,9 @@
 """The shared run context threaded through the certification pipeline.
 
 One :class:`RunContext` carries the knobs both halves of the pipeline
-need — the static chooser (verdict cache, obligation-dispatch policy,
-BMC budget/seed) and the dynamic explorer (workers, run bounds) — so a
-``certify`` call configures everything once and the stats of both layers
-land in one sink.
+need — the static chooser (verdict cache, BMC budget/seed) and the
+dynamic explorer (workers, run bounds) — so a ``certify`` call configures
+everything once and the stats of both layers land in one sink.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.core.cache import VerdictCache, shared_cache
 from repro.core.interference import InterferenceChecker
-from repro.core.parallel import ParallelPolicy, resolve_workers
 
 
 @dataclass
@@ -21,8 +19,7 @@ class RunContext:
     """Seeds, workers, cache and stats shared across pipeline stages."""
 
     seed: int = 0
-    workers: int | None = None  # None -> $REPRO_WORKERS or 1
-    backend: str = "thread"
+    workers: int = 1  # explorer threads; the static chooser runs serially
     budget: int = 3000  # BMC sample budget per obligation
     max_schedules: int | None = 500  # exploration run bound per scenario
     max_depth: int | None = None  # exploration decision bound per run
@@ -34,7 +31,6 @@ class RunContext:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.workers = resolve_workers(self.workers)
         if self.cache is None:
             self.cache = shared_cache()
 
@@ -51,13 +47,8 @@ class RunContext:
             budget=self.budget,
             seed=self.seed,
             cache=self.cache,
-            workers=self.workers,
             use_sdg=self.use_sdg,
         )
-
-    def policy(self, app_ref: str | None = None) -> ParallelPolicy:
-        """Obligation-dispatch policy for the static stage."""
-        return ParallelPolicy(workers=self.workers, backend=self.backend, app_ref=app_ref)
 
     def record(self, stage: str, **payload) -> None:
         """Merge one stage's statistics into the shared sink."""

@@ -3,8 +3,8 @@
 A :class:`JobSpec` is the *semantic* description of one unit of analysis
 work: the kind (``analyze`` / ``certify`` / ``lint``), the application, and
 every knob that can change the produced report (budget, seed, ladder, …).
-Runtime knobs that cannot change the result — worker counts, executor
-backend, cache instances, persistence directories — are deliberately *not*
+Runtime knobs that cannot change the result — the explorer's worker
+count, cache instances, persistence directories — are deliberately *not*
 part of the spec: they are passed to :func:`run_job` separately.  This split
 is what makes the spec's :meth:`~JobSpec.fingerprint` a sound deduplication
 key for the service batcher (two requests with equal fingerprints provably
@@ -180,8 +180,7 @@ def run_job(
     spec: JobSpec,
     *,
     cache=None,
-    workers: int | None = None,
-    backend: str = "thread",
+    workers: int = 1,
     cache_dir: str | None = None,
     no_persist: bool = False,
     checker_hook=None,
@@ -189,32 +188,34 @@ def run_job(
     """Execute one job and return its deterministic payload.
 
     ``cache`` defaults to the process-shared verdict cache; the service
-    passes its own long-lived instance.  Persistence (``cache_dir`` /
-    ``no_persist``) is a runtime concern: the service warms its store once
-    at boot and passes ``no_persist=True`` here.  ``checker_hook`` (analyze
+    passes its own long-lived instance.  ``workers`` only reaches the
+    certify job's explorer; the static chooser always runs in this thread.
+    Persistence (``cache_dir`` / ``no_persist``) is a runtime concern: the
+    service warms its store once at boot and passes ``no_persist=True``
+    here.  ``checker_hook`` (analyze
     only) receives the freshly built InterferenceChecker before the run —
     the CLI uses it to attach a telemetry latency observer.
     """
     spec.validate()
     if spec.kind == "analyze":
         return _run_analyze_job(
-            spec, cache=cache, workers=workers, backend=backend,
-            cache_dir=cache_dir, no_persist=no_persist, checker_hook=checker_hook,
+            spec, cache=cache, cache_dir=cache_dir, no_persist=no_persist,
+            checker_hook=checker_hook,
         )
     if spec.kind == "certify":
         return _run_certify_job(
-            spec, cache=cache, workers=workers, backend=backend,
-            cache_dir=cache_dir, no_persist=no_persist,
+            spec, cache=cache, workers=workers, cache_dir=cache_dir,
+            no_persist=no_persist,
         )
     if spec.kind == "infer":
-        return _run_infer_job(spec, workers=workers)
+        return _run_infer_job(spec)
     if spec.kind == "fuzz":
         return _run_fuzz_job(spec)
     return _run_lint_job(spec)
 
 
 def _run_analyze_job(
-    spec: JobSpec, *, cache, workers, backend, cache_dir, no_persist, checker_hook=None
+    spec: JobSpec, *, cache, cache_dir, no_persist, checker_hook=None
 ) -> JobResult:
     from repro.apps import registry
     from repro.core.cache import shared_cache
@@ -225,11 +226,9 @@ def _run_analyze_job(
         check_transaction_at,
     )
     from repro.core.interference import InterferenceChecker
-    from repro.core.parallel import ParallelPolicy, resolve_workers
     from repro.core.persist import open_store
 
     app = registry()[spec.app]()
-    workers = resolve_workers(workers)
     if cache is None:
         cache = shared_cache()
     store = open_store(cache_dir, no_persist=no_persist)
@@ -237,15 +236,14 @@ def _run_analyze_job(
         store.load(cache)
     checker = InterferenceChecker(
         app.spec, budget=spec.budget, seed=spec.seed, cache=cache,
-        workers=workers, use_sdg=spec.use_sdg,
+        use_sdg=spec.use_sdg,
     )
     if checker_hook is not None:
         checker_hook(checker)
-    policy = ParallelPolicy(workers=workers, backend=backend, app_ref=spec.app)
     try:
         if spec.transaction is not None:
             result = check_transaction_at(
-                app, app.transaction(spec.transaction), spec.level, checker, policy
+                app, app.transaction(spec.transaction), spec.level, checker
             )
             extras = {"tiers": dict(checker.stats), "cache": cache.stats.snapshot()}
             return JobResult(
@@ -258,7 +256,7 @@ def _run_analyze_job(
             )
         ladder = EXTENDED_LADDER if spec.ladder == "extended" else ANSI_LADDER
         report = analyze_application(
-            app, checker, ladder=ladder, include_snapshot=spec.snapshot, policy=policy
+            app, checker, ladder=ladder, include_snapshot=spec.snapshot
         )
         extras = {"tiers": dict(checker.stats), "cache": cache.stats.snapshot()}
         if store is not None:
@@ -273,7 +271,7 @@ def _run_analyze_job(
 
 
 def _run_certify_job(
-    spec: JobSpec, *, cache, workers, backend, cache_dir, no_persist
+    spec: JobSpec, *, cache, workers, cache_dir, no_persist
 ) -> JobResult:
     from repro.pipeline.certify import certify
     from repro.pipeline.context import RunContext
@@ -281,7 +279,6 @@ def _run_certify_job(
     context = RunContext(
         seed=spec.seed,
         workers=workers,
-        backend=backend,
         budget=spec.budget,
         max_schedules=spec.max_schedules,
         max_depth=spec.max_depth,
@@ -316,12 +313,11 @@ def _resolve_infer_app(ref: str, knobs: str | None = None):
     return registry()[ref]()
 
 
-def _run_infer_job(spec: JobSpec, *, workers) -> JobResult:
+def _run_infer_job(spec: JobSpec) -> JobResult:
     from repro.core.chooser import analyze_application
     from repro.core.formula import TRUE
     from repro.core.infer import agreement, infer_application
     from repro.core.interference import InterferenceChecker
-    from repro.core.parallel import resolve_workers
 
     app = _resolve_infer_app(spec.app, knobs=spec.profile)
     inferred, report = infer_application(app, seed=spec.seed)
@@ -337,9 +333,7 @@ def _run_infer_job(spec: JobSpec, *, workers) -> JobResult:
     )
     exit_code = 0
     if declared:
-        compared = agreement(
-            app, inferred, budget=spec.budget, seed=spec.seed, workers=workers
-        )
+        compared = agreement(app, inferred, budget=spec.budget, seed=spec.seed)
         payload["declared_levels"] = compared["declared"]
         payload["matches"] = compared["matches"]
         payload["agreement"] = compared["agreement"]
@@ -355,10 +349,7 @@ def _run_infer_job(spec: JobSpec, *, workers) -> JobResult:
         ]
         exit_code = 0 if compared["agreement"] else 1
     else:
-        checker = InterferenceChecker(
-            inferred.spec, budget=spec.budget, seed=spec.seed,
-            workers=resolve_workers(workers),
-        )
+        checker = InterferenceChecker(inferred.spec, budget=spec.budget, seed=spec.seed)
         payload["levels"] = analyze_application(inferred, checker).levels()
         payload["disagreements"] = []  # nothing declared to disagree with
     return JobResult(

@@ -190,7 +190,7 @@ def state_fingerprint(simulator: Simulator) -> tuple:
                 (lock.txn_id, lock.table, lock.mode, lock.duration) for lock in locks._predicates
             )
         ),
-        tuple(sorted(simulator.wfg._graph.edges())),
+        tuple(sorted(simulator.wfg.edges())),
         tuple(
             (
                 rt.index,

@@ -1,11 +1,12 @@
 """Unit tests for the conflict-serializability checker."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
-from repro.sched.serializability import check_conflict_serializability
+from repro.sched.serializability import check_conflict_serializability, topological_order
 from repro.sched.simulator import InstanceSpec, Simulator
 
 
@@ -83,3 +84,25 @@ class TestNonSerializable:
         report = check_conflict_serializability(result)
         # only B committed; a single transaction is trivially serializable
         assert report.serializable
+
+
+# ---------------------------------------------------------------------------
+# differential: the stdlib topological order against networkx
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+    st.permutations(range(8)),
+)
+def test_topological_order_matches_networkx(pairs, nodes):
+    nx = pytest.importorskip("networkx")
+    graph = {node: {} for node in nodes}
+    reference = nx.DiGraph()
+    reference.add_nodes_from(nodes)
+    for a, b in pairs:
+        if a < b:  # forward edges only: acyclic by construction
+            graph[a][b] = None
+            reference.add_edge(a, b)
+    assert topological_order(graph) == list(nx.topological_sort(reference))

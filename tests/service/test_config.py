@@ -19,7 +19,6 @@ class TestServiceConfigValidation:
             ({"workers": 0}, "workers"),
             ({"workers": -1}, "workers"),
             ({"workers": 1.5}, "workers"),
-            ({"job_workers": 0}, "job_workers"),
             ({"max_pending": 0}, "max_pending"),
             ({"max_pending": "many"}, "max_pending"),
             ({"max_body": 0}, "max_body"),
@@ -35,8 +34,9 @@ class TestServiceConfigValidation:
             ({"port": -1}, "port"),
             ({"port": 65536}, "port"),
             ({"port": "8923"}, "port"),
-            ({"backend": "gevent"}, "backend"),
             ({"persist_interval": 5.0, "no_persist": True}, "persist_interval"),
+            ({"drain_timeout": "slow"}, "drain_timeout"),
+            ({"read_timeout": "long"}, "read_timeout"),
         ],
     )
     def test_nonsense_knobs_rejected_by_name(self, kwargs, fragment):
@@ -52,7 +52,7 @@ class TestServiceConfigValidation:
         ServiceConfig(port=0)
         ServiceConfig(port=65535)
         ServiceConfig(window=0.0, drain_timeout=0.0, persist_interval=0.0)
-        ServiceConfig(workers=1, job_workers=1, max_pending=1, max_body=1)
+        ServiceConfig(workers=1, max_pending=1, max_body=1)
         ServiceConfig(default_deadline_ms=1)
         ServiceConfig(persist_interval=2.5, cache_dir=".repro-cache")
 
