@@ -142,6 +142,7 @@ MEMO_CAP = 200_000
 _term_memo: dict = {}
 _formula_memo: dict = {}
 _query_memo: dict = {}
+_literal_memo: dict = {}
 
 _memo_stats = {
     "simplify_hits": 0,
@@ -168,6 +169,7 @@ def prover_cache_stats() -> dict:
     stats["term_memo_size"] = len(_term_memo)
     stats["formula_memo_size"] = len(_formula_memo)
     stats["query_memo_size"] = len(_query_memo)
+    stats["literal_memo_size"] = len(_literal_memo)
     simplify_total = stats["simplify_hits"] + stats["simplify_misses"]
     stats["simplify_hit_rate"] = (
         round(stats["simplify_hits"] / simplify_total, 4) if simplify_total else 0.0
@@ -184,6 +186,7 @@ def clear_prover_caches() -> None:
     _term_memo.clear()
     _formula_memo.clear()
     _query_memo.clear()
+    _literal_memo.clear()
     for key in _memo_stats:
         _memo_stats[key] = 0
 
@@ -463,19 +466,19 @@ def _dnf_cubes(formula: Formula) -> list | None:
             sub = _dnf_cubes(op)
             if sub is None:
                 return None
-            cubes.extend(sub)
-            if len(cubes) > MAX_CUBES:
+            if len(cubes) + len(sub) > MAX_CUBES:
                 return None
+            cubes.extend(sub)
         return cubes
     if isinstance(formula, And):
         cubes = [[]]
         for op in formula.operands:
             sub = _dnf_cubes(op)
-            if sub is None:
+            # check the cap before building the product: an over-cap
+            # product would be thrown away whole
+            if sub is None or len(cubes) * len(sub) > MAX_CUBES:
                 return None
             cubes = [cube + extra for cube in cubes for extra in sub]
-            if len(cubes) > MAX_CUBES:
-                return None
         return cubes
     if isinstance(formula, Top):
         return [[]]
@@ -549,7 +552,27 @@ class _IntConstraint:
 
 
 def _int_constraints_of_literal(literal: Cmp, variables: dict) -> list | None:
-    """Translate an integer comparison into <= / == constraints."""
+    """Translate an integer comparison into <= / == constraints (memoized).
+
+    A literal shared by many DNF cubes is linearised once.  The memo keeps
+    the literal's atoms in first-visit order and replays them into the
+    cube's ``variables`` with ``setdefault``, so the cube numbers its
+    variables exactly as a fresh linearisation would.  The returned list is
+    shared between cubes and must not be mutated.
+    """
+    cached = _literal_memo.get(literal)
+    if cached is None:
+        visited: dict = {}
+        constraints = _translate_int_literal(literal, visited)
+        cached = (tuple(visited), constraints)
+        _memo_put(_literal_memo, literal, cached)
+    atoms, constraints = cached
+    for atom in atoms:
+        variables.setdefault(atom, len(variables))
+    return constraints
+
+
+def _translate_int_literal(literal: Cmp, variables: dict) -> list | None:
     lhs = _linearize(literal.left, variables)
     rhs = _linearize(literal.right, variables)
     if lhs is None or rhs is None:
@@ -572,14 +595,38 @@ def _int_constraints_of_literal(literal: Cmp, variables: dict) -> list | None:
     raise ProverError(f"unexpected integer literal {literal!r}")
 
 
-def _check_int_assignment(constraints: Sequence[_IntConstraint], assignment: dict) -> bool:
+def _index_rows(constraints: Sequence[_IntConstraint], position: Mapping) -> list:
+    """``(pairs, bound)`` rows, each meaning ``sum(coeff * x[i]) <= bound``.
+
+    ``pairs`` holds ``(i, coeff)`` with ``i`` the variable's dense index in
+    ``position``, so the fast path reads bounds and values from lists
+    instead of hashing terms.  An equality becomes a ``<=`` row followed by
+    its negation.
+    """
+    rows: list = []
     for constraint in constraints:
-        total = sum(coeff * assignment[var] for var, coeff in constraint.coeffs.items())
-        if constraint.rel == "==" and total != constraint.bound:
-            return False
-        if constraint.rel == "<=" and total > constraint.bound:
+        pairs = tuple((position[var], coeff) for var, coeff in constraint.coeffs.items())
+        rows.append((pairs, constraint.bound))
+        if constraint.rel == "==":
+            rows.append((tuple((i, -coeff) for i, coeff in pairs), -constraint.bound))
+    return rows
+
+
+def _rows_hold(rows: Sequence, values: Sequence[int]) -> bool:
+    """Does the assignment ``values`` (indexed like the rows) satisfy every row?"""
+    for pairs, bound in rows:
+        total = 0
+        for i, coeff in pairs:
+            total += coeff * values[i]
+        if total > bound:
             return False
     return True
+
+
+def _check_int_assignment(constraints: Sequence[_IntConstraint], assignment: dict) -> bool:
+    """Does the term-keyed ``assignment`` satisfy every constraint?"""
+    position = {var: i for i, var in enumerate(assignment)}
+    return _rows_hold(_index_rows(constraints, position), list(assignment.values()))
 
 
 # -- lazy LP backend ---------------------------------------------------------
@@ -615,85 +662,75 @@ def _load_lp():
 # -- LP-free fast path -------------------------------------------------------
 
 
-def _as_inequalities(constraints: Sequence[_IntConstraint]) -> list:
-    """Normalise to ``coeffs . x <= bound`` rows (equalities become pairs)."""
-    rows: list = []
-    for constraint in constraints:
-        if constraint.rel == "<=":
-            rows.append((constraint.coeffs, constraint.bound))
-        else:  # ==  ->  <= and >=
-            rows.append((constraint.coeffs, constraint.bound))
-            rows.append(
-                ({var: -coeff for var, coeff in constraint.coeffs.items()}, -constraint.bound)
-            )
-    return rows
-
-
-def _propagate_bounds(rows: Sequence, var_list: Sequence):
+def _propagate_bounds(rows: Sequence, n: int):
     """Fixpoint interval propagation with integer tightening.
 
-    Returns ``(lower, upper)`` bound dicts (entries may stay ``None``), or
-    ``None`` when a variable's interval became empty — which, because every
-    derived bound uses floor/ceil division, refutes *integer* solutions even
-    for rationally feasible systems (e.g. ``2x <= 1 ∧ 2x >= 1``).
+    ``rows`` come from :func:`_index_rows` over ``n`` variables.  Returns
+    ``(lower, upper)`` bound lists (entries may stay ``None``), or ``None``
+    when a variable's interval became empty — which, because every derived
+    bound uses floor/ceil division, refutes *integer* solutions even for
+    rationally feasible systems (e.g. ``2x <= 1 ∧ 2x >= 1``).
     """
-    lower: dict = {var: None for var in var_list}
-    upper: dict = {var: None for var in var_list}
+    lower: list = [None] * n
+    upper: list = [None] * n
     for _ in range(FAST_PROP_ROUNDS):
         changed = False
-        for coeffs, bound in rows:
-            if not coeffs:
+        for pairs, bound in rows:
+            if not pairs:
                 if 0 > bound:
                     return None
                 continue
-            for var, coeff in coeffs.items():
-                residual = bound
-                usable = True
-                for other, other_coeff in coeffs.items():
-                    if other is var or other == var:
-                        continue
-                    if other_coeff > 0:
-                        if lower[other] is None:
-                            usable = False
-                            break
-                        residual -= other_coeff * lower[other]
-                    else:
-                        if upper[other] is None:
-                            usable = False
-                            break
-                        residual -= other_coeff * upper[other]
-                if not usable:
-                    continue
-                if coeff > 0:
-                    new_upper = residual // coeff  # floor
-                    if upper[var] is None or new_upper < upper[var]:
-                        upper[var] = new_upper
-                        changed = True
+            # A variable's residual puts every other term at the end of its
+            # interval that minimises the row.  The row only ever tightens
+            # the opposite ends, so one sum per row serves all its variables.
+            least = 0
+            unbounded = -1  # index of the single term without that end
+            for i, coeff in pairs:
+                end = lower[i] if coeff > 0 else upper[i]
+                if end is None:
+                    if unbounded >= 0:
+                        break  # two such terms: no variable is bounded
+                    unbounded = i
                 else:
-                    new_lower = -((-residual) // coeff)  # ceil(residual / coeff)
-                    if lower[var] is None or new_lower > lower[var]:
-                        lower[var] = new_lower
-                        changed = True
-                if (
-                    lower[var] is not None
-                    and upper[var] is not None
-                    and lower[var] > upper[var]
-                ):
-                    return None
+                    least += coeff * end
+            else:
+                for i, coeff in pairs:
+                    if unbounded < 0:
+                        residual = bound - least + coeff * (lower[i] if coeff > 0 else upper[i])
+                    elif i == unbounded:
+                        residual = bound - least
+                    else:
+                        continue
+                    if coeff > 0:
+                        new_upper = residual // coeff  # floor
+                        if upper[i] is None or new_upper < upper[i]:
+                            upper[i] = new_upper
+                            changed = True
+                            if lower[i] is not None and lower[i] > new_upper:
+                                return None
+                    else:
+                        new_lower = -((-residual) // coeff)  # ceil(residual / coeff)
+                        if lower[i] is None or new_lower > lower[i]:
+                            lower[i] = new_lower
+                            changed = True
+                            if upper[i] is not None and new_lower > upper[i]:
+                                return None
         if not changed:
             break
     return lower, upper
 
 
-def _fourier_motzkin_refutes(rows: Sequence, var_list: Sequence) -> bool:
+def _fourier_motzkin_refutes(rows: Sequence, n: int) -> bool:
     """True when pairwise elimination derives ``0 <= negative`` (sound UNSAT).
 
-    All combinations scale by positive integers, so the arithmetic stays
-    exact over ``int``; rational infeasibility implies integer infeasibility.
-    Row growth is capped — hitting the cap just means "not refuted here".
+    Eliminates the ``n`` variables of the :func:`_index_rows` rows in index
+    order.  All combinations scale by positive integers, so the arithmetic
+    stays exact over ``int``; rational infeasibility implies integer
+    infeasibility.  Row growth is capped — hitting the cap just means "not
+    refuted here".
     """
-    current = [(dict(coeffs), bound) for coeffs, bound in rows]
-    for var in var_list:
+    current = [(dict(pairs), bound) for pairs, bound in rows]
+    for var in range(n):
         uppers, lowers, rest = [], [], []
         for coeffs, bound in current:
             coeff = coeffs.get(var, 0)
@@ -731,45 +768,46 @@ def _fast_int_solve(constraints: Sequence[_IntConstraint], var_list: Sequence):
     SAT answers always carry a verified assignment; UNSAT answers come from
     integer-tightened bounds propagation, exhaustive enumeration of a small
     implied box, or Fourier–Motzkin rational refutation — all sound.
-    UNKNOWN means "hand the cube to the LP fallback".
+    UNKNOWN means "hand the cube to the LP fallback".  The work runs over
+    dense variable indices; only the returned model is keyed by term.
     """
-    rows = _as_inequalities(constraints)
-    propagated = _propagate_bounds(rows, var_list)
+    n = len(var_list)
+    rows = _index_rows(constraints, {var: i for i, var in enumerate(var_list)})
+    propagated = _propagate_bounds(rows, n)
     if propagated is None:
         return Verdict.UNSAT, None
     lower, upper = propagated
 
-    if all(lower[var] is not None and upper[var] is not None for var in var_list):
+    if None not in lower and None not in upper:
         box = 1
-        for var in var_list:
-            box *= upper[var] - lower[var] + 1
+        for low, high in zip(lower, upper):
+            box *= high - low + 1
             if box > FAST_BOX_LIMIT:
                 break
         if box <= FAST_BOX_LIMIT:
             # the box contains every integer solution (bounds are implied by
             # the constraints), so enumeration is a complete decision
-            ranges = [range(lower[var], upper[var] + 1) for var in var_list]
+            ranges = [range(low, high + 1) for low, high in zip(lower, upper)]
             for candidate in itertools.product(*ranges):
-                assignment = dict(zip(var_list, candidate))
-                if _check_int_assignment(constraints, assignment):
-                    return Verdict.SAT, assignment
+                if _rows_hold(rows, candidate):
+                    return Verdict.SAT, dict(zip(var_list, candidate))
             return Verdict.UNSAT, None
 
     # cheap candidate probes at the interval corners / zero
-    probes = []
-    probes.append({var: lower[var] if lower[var] is not None else (upper[var] or 0) for var in var_list})
-    probes.append({var: upper[var] if upper[var] is not None else (lower[var] or 0) for var in var_list})
-    probes.append(
-        {
-            var: min(max(0, lower[var] or 0), upper[var] if upper[var] is not None else max(0, lower[var] or 0))
-            for var in var_list
-        }
+    bounds = list(zip(lower, upper))
+    probes = (
+        [low if low is not None else (high or 0) for low, high in bounds],
+        [high if high is not None else (low or 0) for low, high in bounds],
+        [
+            min(max(0, low or 0), high if high is not None else max(0, low or 0))
+            for low, high in bounds
+        ],
     )
-    for assignment in probes:
-        if _check_int_assignment(constraints, assignment):
-            return Verdict.SAT, assignment
+    for probe in probes:
+        if _rows_hold(rows, probe):
+            return Verdict.SAT, dict(zip(var_list, probe))
 
-    if _fourier_motzkin_refutes(rows, var_list):
+    if _fourier_motzkin_refutes(rows, n):
         return Verdict.UNSAT, None
     return Verdict.UNKNOWN, None
 
@@ -834,6 +872,7 @@ def _solve_int_constraints(constraints: Sequence[_IntConstraint], variables: dic
         return Verdict.UNKNOWN, None
 
     relaxed = result.x
+    rows = _index_rows(constraints, index)
     # try all floor/ceil roundings of the relaxed solution (capped)
     if n <= 16:
         floors = [int(np.floor(v)) for v in relaxed]
@@ -843,17 +882,15 @@ def _solve_int_constraints(constraints: Sequence[_IntConstraint], variables: dic
             4096,
         )
         for candidate in candidates:
-            assignment = dict(zip(var_list, candidate))
-            if _check_int_assignment(constraints, assignment):
-                return Verdict.SAT, assignment
+            if _rows_hold(rows, candidate):
+                return Verdict.SAT, dict(zip(var_list, candidate))
     # small-box enumeration around the relaxed point
     if n <= MAX_BOX_VARS:
         centers = [int(round(v)) for v in relaxed]
         ranges = [range(c - BOX_RADIUS, c + BOX_RADIUS + 1) for c in centers]
         for candidate in itertools.product(*ranges):
-            assignment = dict(zip(var_list, candidate))
-            if _check_int_assignment(constraints, assignment):
-                return Verdict.SAT, assignment
+            if _rows_hold(rows, candidate):
+                return Verdict.SAT, dict(zip(var_list, candidate))
     return Verdict.UNKNOWN, None
 
 
