@@ -15,12 +15,19 @@ snapshot isolation, BMC budget 24, one worker):
 
 All timings are CPU time (``time.process_time``): the benchmark machines
 are small and wall clock is noisy, while the CPU ratio between configs is
-stable.  The seed reference was measured the same way from a git worktree
-at the pre-PR commit, so ``speedup_vs_seed`` compares like with like.
+stable.  The seed reference is re-measured in the same session, the same
+way, from a temporary checkout of the pre-PR commit (``git archive`` into
+a temporary directory, run in a fresh interpreter), so
+``speedup_vs_seed`` is a ratio of two runs on one machine.  The bench
+needs that commit in the local history (not a shallow clone).
 
 Emits ``BENCH_prover.json`` and the E14 text table.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -39,19 +46,54 @@ from repro.core.terms import clear_hashcons_tables
 
 BUDGET = 24
 
-#: Pre-PR prover cost for this exact workload, recorded once so the bench
-#: does not need to rebuild the old tree.  Measured with
-#: ``time.process_time()`` around ``analyze_application`` on tpcc-lite
-#: (extended ladder + snapshot, budget 24, workers=1) from a git worktree
-#: at the last commit before the prover-core PR, on the same machine class
-#: as the current numbers.
-SEED_REFERENCE = {
-    "cpu_s": 55.06,
-    "wall_s": 46.85,
-    "commit": "abe2034",
-    "method": "process_time around analyze_application, tpcc-lite, "
-    "extended ladder + snapshot, budget 24, workers=1",
-}
+#: The last commit before the prover-core work: the cold run's baseline.
+SEED_COMMIT = "abe2034"
+SEED_METHOD = (
+    "process_time around analyze_application, tpcc-lite, extended ladder +"
+    " snapshot, budget 24, one thread, fresh interpreter, same session"
+)
+
+#: Runs in the seed tree: the ``cold`` configuration as that commit had it.
+_SEED_SCRIPT = """
+import sys, time
+from repro.apps import tpcc
+from repro.core.cache import VerdictCache
+from repro.core.chooser import analyze_application
+from repro.core.conditions import EXTENDED_LADDER
+from repro.core.interference import InterferenceChecker
+
+app = tpcc.make_application()
+checker = InterferenceChecker(app.spec, budget=int(sys.argv[1]), cache=VerdictCache())
+start = time.process_time()
+analyze_application(app, checker, ladder=EXTENDED_LADDER, include_snapshot=True)
+print(time.process_time() - start)
+"""
+
+
+def _measure_seed(tmp_dir: pathlib.Path) -> dict:
+    """Cold tpcc CPU time of ``SEED_COMMIT``, from a temporary checkout."""
+    root = pathlib.Path(__file__).parent.parent
+    archive = subprocess.run(
+        ["git", "archive", SEED_COMMIT, "src"], cwd=root, capture_output=True
+    )
+    assert archive.returncode == 0, (
+        f"cannot check out seed commit {SEED_COMMIT} (shallow clone?):"
+        f" {archive.stderr.decode().strip()}"
+    )
+    subprocess.run(["tar", "-x", "-C", str(tmp_dir)], input=archive.stdout, check=True)
+    run = subprocess.run(
+        [sys.executable, "-c", _SEED_SCRIPT, str(BUDGET)],
+        cwd=tmp_dir,
+        env={**os.environ, "PYTHONPATH": str(tmp_dir / "src"), "PYTHONHASHSEED": "0"},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    return {
+        "cpu_s": float(run.stdout.split()[-1]),
+        "commit": SEED_COMMIT,
+        "method": SEED_METHOD,
+    }
 
 
 def _reset_process_caches():
@@ -79,7 +121,7 @@ def _run(cache, hash_consing=True, fast_path=True):
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    results = {}
+    results = {"seed": _measure_seed(tmp_path_factory.mktemp("seed"))}
 
     _reset_process_caches()
     levels, cpu_s, _ = _run(VerdictCache(), hash_consing=False, fast_path=False)
@@ -109,19 +151,24 @@ def sweep(tmp_path_factory):
     return results
 
 
+def _speedup(sweep, config: str) -> float:
+    return sweep["seed"]["cpu_s"] / max(sweep[config]["cpu_s"], 1e-9)
+
+
 def test_bench_prover(sweep):
-    speedup = SEED_REFERENCE["cpu_s"] / max(sweep["cold"]["cpu_s"], 1e-9)
+    seed = sweep["seed"]
+    configs = [name for name in sweep if name != "seed"]
     rows = [
-        (config, f"{data['cpu_s']:.2f}", f"{SEED_REFERENCE['cpu_s'] / max(data['cpu_s'], 1e-9):.1f}x")
-        for config, data in sweep.items()
+        (config, f"{sweep[config]['cpu_s']:.2f}", f"{_speedup(sweep, config):.1f}x")
+        for config in configs
     ]
-    rows.append(("seed (recorded)", f"{SEED_REFERENCE['cpu_s']:.2f}", "1.0x"))
+    rows.append((f"seed ({seed['commit']})", f"{seed['cpu_s']:.2f}", "1.0x"))
     emit(
         "E14-prover-layers",
         format_table(("config", "cpu s", "vs seed"), rows)
         + f"\n\npersist-warmed run answered {sweep['persist_warmed']['persist_hits']}"
         " obligations from disk-loaded verdicts"
-        + f"\nseed reference: commit {SEED_REFERENCE['commit']}, {SEED_REFERENCE['method']}",
+        + f"\nseed reference: commit {seed['commit']}, {seed['method']}",
     )
     emit_json(
         "BENCH_prover",
@@ -133,13 +180,13 @@ def test_bench_prover(sweep):
                 "workers": 1,
                 "timer": "process_time",
             },
-            "seed_reference": SEED_REFERENCE,
+            "seed_reference": seed,
             "results": {
-                name: {k: v for k, v in data.items() if k != "levels"}
-                for name, data in sweep.items()
+                name: {k: v for k, v in sweep[name].items() if k != "levels"}
+                for name in configs
             },
             "levels": sweep["cold"]["levels"],
-            "speedup_vs_seed": round(speedup, 2),
+            "speedup_vs_seed": round(_speedup(sweep, "cold"), 2),
         },
     )
 
@@ -148,14 +195,19 @@ def test_levels_byte_identical_across_configs(sweep):
     """Acceptance: no optimisation layer changes a level assignment."""
     expected = sweep["baseline"]["levels"]
     for config, data in sweep.items():
-        assert data["levels"] == expected, config
+        if config != "seed":
+            assert data["levels"] == expected, config
 
 
 def test_cold_run_beats_seed_by_5x(sweep):
     """Acceptance: ≥5x cold-run improvement from the in-process layers alone
-    (no persistence involved in the cold config)."""
-    speedup = SEED_REFERENCE["cpu_s"] / max(sweep["cold"]["cpu_s"], 1e-9)
-    assert speedup >= 5.0, f"cold speedup only {speedup:.2f}x"
+    (no persistence involved in the cold config), as a same-session CPU
+    ratio against the seed commit re-run on this machine."""
+    speedup = _speedup(sweep, "cold")
+    assert speedup >= 5.0, (
+        f"cold speedup only {speedup:.2f}x: {sweep['cold']['cpu_s']:.2f} s"
+        f" against {sweep['seed']['cpu_s']:.2f} s at {SEED_COMMIT}"
+    )
 
 
 def test_persist_warmed_close_to_in_memory_warm(sweep):

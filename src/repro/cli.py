@@ -218,14 +218,8 @@ def cmd_certify(args) -> int:
         use_sdg=not args.no_sdg,
         max_schedules=args.max_schedules,
         max_depth=args.max_depth,
-        dpor=args.dpor,
     )
-    job = run_job(
-        spec,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        no_persist=args.no_persist,
-    )
+    job = run_job(spec, cache_dir=args.cache_dir, no_persist=args.no_persist)
     if args.json:
         print(json.dumps({**job.payload, "stats": job.extras["stats"]}, indent=2))
     else:
@@ -296,7 +290,6 @@ def cmd_explore(args) -> int:
             max_depth=args.max_depth,
             pruning=not args.no_pruning,
             dpor=args.dpor,
-            workers=args.workers,
         )
         violations = []
         for schedule in result.results:
@@ -711,7 +704,6 @@ def _submit_options(args) -> dict:
         options["max_schedules"] = args.max_schedules
         if args.max_depth is not None:
             options["max_depth"] = args.max_depth
-        options["dpor"] = args.dpor
     if args.kind == "lint":
         # lint results depend on the app alone; a lean spec maximises the
         # service's chance to coalesce concurrent lint requests
@@ -891,21 +883,12 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--seed", type=int, default=0)
     certify.add_argument("--budget", type=int, default=3000)
     certify.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="explore scenarios across N threads (the static chooser is serial)",
-    )
-    certify.add_argument(
         "--max-schedules", type=int, default=500,
         help="simulator-run budget per scenario exploration",
     )
     certify.add_argument(
         "--max-depth", type=int, default=None,
         help="scheduling-decision budget per explored run",
-    )
-    certify.add_argument(
-        "--dpor", choices=("optimal", "lite"), default="optimal",
-        help="exploration pruning: source-set race reversal (optimal)"
-        " or sleep sets + state caching (lite)",
     )
     certify.add_argument(
         "--no-sdg", action="store_true",
@@ -1027,15 +1010,14 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--max-depth", type=int, default=None)
     explore.add_argument(
         "--dpor", choices=("optimal", "lite"), default="optimal",
-        help="pruning algorithm: source-set race reversal (optimal)"
-        " or sleep sets + state caching (lite)",
+        help="pruning algorithm: source-set race reversal (optimal) or the"
+        " sleep-set + state-caching reference (lite)",
     )
     explore.add_argument(
         "--no-pruning", action="store_true",
         help="disable all pruning (full DFS)",
     )
     explore.add_argument("--no-retry", action="store_true", help="no abort-retry loop")
-    explore.add_argument("--workers", type=int, default=1, metavar="N")
     explore.add_argument("--json", action="store_true")
     explore.set_defaults(func=cmd_explore)
 
@@ -1166,7 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--level", help="analyze at one level (with --transaction)")
     submit.add_argument("--max-schedules", type=int, default=500)
     submit.add_argument("--max-depth", type=int, default=None)
-    submit.add_argument("--dpor", choices=("optimal", "lite"), default="optimal")
     submit.add_argument("--no-sdg", action="store_true")
     submit.add_argument(
         "--pairs", type=int, default=3,

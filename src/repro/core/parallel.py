@@ -1,27 +1,10 @@
-"""Ordered thread map for independent work items.
+"""Where parallelism lives: at the job and fleet levels, not in here.
 
-The static chooser runs in one thread: its obligations and BMC state scans
-are discharged serially against one checker and one verdict cache.  The
-one in-process fan-out left is the explorer's lite-DPOR root split
-(:mod:`repro.sched.explore`); analysis parallelism otherwise lives at the
-job level (the service's job pool) and the fleet level (one process per
-shard).
+The static chooser and the schedule explorer both run in one thread — on
+CPython neither an obligation fan-out nor an explorer fan-out beat serial
+(``docs/PERFORMANCE.md``), and a single thread keeps every verdict and run
+count a function of its input.  Concurrent analysis comes from the
+service's job pool (:mod:`repro.service.batcher`) and from the fleet, one
+process per shard (:mod:`repro.service.router`).  This module holds no
+code; it stays importable for callers that import it at set-up.
 """
-
-from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
-
-def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]``, across ``workers`` threads.
-
-    Results come back in input order whatever the completion order, so a
-    caller that folds them gets the serial answer.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -347,8 +347,6 @@ def run_probe(scenario: Scenario, type_levels: dict, context: RunContext) -> Dyn
         max_schedules=context.max_schedules,
         max_depth=context.max_depth,
         pruning=True,
-        dpor=context.dpor,
-        workers=context.workers,
         observer_factory=AssertionMonitor,
     )
     probe.exploration = result.to_dict()

@@ -2,7 +2,7 @@
 
 One :class:`RunContext` carries the knobs both halves of the pipeline
 need — the static chooser (verdict cache, BMC budget/seed) and the
-dynamic explorer (workers, run bounds) — so a ``certify`` call configures
+dynamic explorer (run bounds) — so a ``certify`` call configures
 everything once and the stats of both layers land in one sink.
 """
 
@@ -16,14 +16,12 @@ from repro.core.interference import InterferenceChecker
 
 @dataclass
 class RunContext:
-    """Seeds, workers, cache and stats shared across pipeline stages."""
+    """Seeds, cache and stats shared across pipeline stages."""
 
     seed: int = 0
-    workers: int = 1  # explorer threads; the static chooser runs serially
     budget: int = 3000  # BMC sample budget per obligation
     max_schedules: int | None = 500  # exploration run bound per scenario
     max_depth: int | None = None  # exploration decision bound per run
-    dpor: str = "optimal"  # exploration pruning algorithm (optimal | lite)
     use_sdg: bool = True  # SDG obligation pre-pruning in the static layer
     cache: VerdictCache | None = None  # None -> process-shared cache
     cache_dir: str | None = None  # persistent store directory (None -> env/off)

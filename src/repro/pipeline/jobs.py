@@ -3,9 +3,8 @@
 A :class:`JobSpec` is the *semantic* description of one unit of analysis
 work: the kind (``analyze`` / ``certify`` / ``lint``), the application, and
 every knob that can change the produced report (budget, seed, ladder, …).
-Runtime knobs that cannot change the result — the explorer's worker
-count, cache instances, persistence directories — are deliberately *not*
-part of the spec: they are passed to :func:`run_job` separately.  This split
+Runtime knobs that cannot change the result — cache instances,
+persistence directories — are deliberately *not* part of the spec: they are passed to :func:`run_job` separately.  This split
 is what makes the spec's :meth:`~JobSpec.fingerprint` a sound deduplication
 key for the service batcher (two requests with equal fingerprints provably
 produce equal payloads) and what makes the HTTP results byte-identical to
@@ -52,7 +51,6 @@ class JobSpec:
     level: str | None = None
     max_schedules: int = 500
     max_depth: int | None = None
-    dpor: str = "optimal"
     #: Generator knob string for appgen refs (``fuzz``/``infer`` jobs);
     #: part of the fingerprint — different knobs are different programs.
     profile: str | None = None
@@ -105,8 +103,6 @@ class JobSpec:
             raise JobError(f"budget must be non-negative, got {self.budget}")
         if self.max_schedules is not None and self.max_schedules <= 0:
             raise JobError(f"max_schedules must be positive, got {self.max_schedules}")
-        if self.dpor not in ("optimal", "lite"):
-            raise JobError(f"unknown dpor mode {self.dpor!r}; choose optimal or lite")
         if self.pairs <= 0:
             raise JobError(f"pairs must be positive, got {self.pairs}")
         if self.kind == "fuzz":
@@ -188,14 +184,17 @@ def run_job(
     """Execute one job and return its deterministic payload.
 
     ``cache`` defaults to the process-shared verdict cache; the service
-    passes its own long-lived instance.  ``workers`` only reaches the
-    certify job's explorer; the static chooser always runs in this thread.
-    Persistence (``cache_dir`` / ``no_persist``) is a runtime concern: the
+    passes its own long-lived instance.  Persistence (``cache_dir`` / ``no_persist``) is a runtime concern: the
     service warms its store once at boot and passes ``no_persist=True``
     here.  ``checker_hook`` (analyze
     only) receives the freshly built InterferenceChecker before the run —
     the CLI uses it to attach a telemetry latency observer.
     """
+    # jobs run in this thread; the keyword stays because the frozen
+    # perfbench harness calls ``run_job(spec, workers=1)``, and any other
+    # count is refused rather than silently run serially
+    if workers != 1:
+        raise JobError(f"jobs run in one thread; workers must be 1, not {workers!r}")
     spec.validate()
     if spec.kind == "analyze":
         return _run_analyze_job(
@@ -204,8 +203,7 @@ def run_job(
         )
     if spec.kind == "certify":
         return _run_certify_job(
-            spec, cache=cache, workers=workers, cache_dir=cache_dir,
-            no_persist=no_persist,
+            spec, cache=cache, cache_dir=cache_dir, no_persist=no_persist
         )
     if spec.kind == "infer":
         return _run_infer_job(spec)
@@ -270,19 +268,15 @@ def _run_analyze_job(
             store.flush(cache)
 
 
-def _run_certify_job(
-    spec: JobSpec, *, cache, workers, cache_dir, no_persist
-) -> JobResult:
+def _run_certify_job(spec: JobSpec, *, cache, cache_dir, no_persist) -> JobResult:
     from repro.pipeline.certify import certify
     from repro.pipeline.context import RunContext
 
     context = RunContext(
         seed=spec.seed,
-        workers=workers,
         budget=spec.budget,
         max_schedules=spec.max_schedules,
         max_depth=spec.max_depth,
-        dpor=spec.dpor,
         use_sdg=spec.use_sdg,
         cache=cache,
         cache_dir=cache_dir,

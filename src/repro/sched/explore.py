@@ -4,26 +4,27 @@
 branch of the scheduling tree; this module owns the backtracking.  Because
 replay is deterministic, re-running a decision prefix reconstructs a node
 exactly (the simulator is cheap; cloning engine state mid-run would not
-be).  Two pruning modes:
+be).  The explorer runs in one thread, so a result — run counts included —
+is a function of its input.  Two pruning modes:
 
 * ``dpor="optimal"`` — **source-set DPOR** (:mod:`repro.sched.dpor`): the
   backtrack loop is driven by race reversal instead of sibling
   enumeration.  After each run the analyzer derives level-aware access
   sets from the engine history, finds the immediate races, and enqueues —
   per race — one member of the source set at the decision depth of the
-  earlier step.  A shared LIFO frontier of pending reversals replaces the
-  per-branch recursion; parallel workers steal from it.  Sleep sets
-  (below) still apply.  Cross-run visited-state dedup is *off* in this
-  mode: cutting a run at a state first reached under a different prefix
-  would silence the races its continuation must register at this run's
-  own frames, losing reversals — the two prunings do not compose soundly.
+  earlier step.  A LIFO frontier of pending reversals replaces the
+  per-branch recursion.  Sleep sets (below) still apply.  Cross-run
+  visited-state dedup is *off* in this mode: cutting a run at a state
+  first reached under a different prefix would silence the races its
+  continuation must register at this run's own frames, losing reversals —
+  the two prunings do not compose soundly.  Certification, fuzz probes
+  and inference always explore this way.
 
 * ``dpor="lite"`` — the original DPOR-lite: full sibling enumeration,
   pruned by sleep sets and by a **state-fingerprint** dedup (a run that
   reaches a previously-seen global state stops; every continuation has
-  been or will be explored from the first visit).  Kept as the
-  differential-testing baseline; its parallel mode fans the root branches
-  across workers with probe-seeded sleep sets.
+  been or will be explored from the first visit).  Kept as a library-level
+  reference for differential testing.
 
 **Sleep sets** (after Godefroid) are shared by both modes: when branch
 ``i`` at a node has been fully explored, sibling branches carry ``i``'s
@@ -32,17 +33,14 @@ past independent steps is never re-explored.  Signatures come from the
 engine history (:func:`repro.sched.policy.op_signature`).
 
 State fingerprints are structural token tuples (no ``repr`` on the hot
-path) stored in a stripe-locked visited set, so parallel lite exploration
-does not serialise on a single lock.
+path).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.parallel import parallel_map
 from repro.core.state import DbState
 from repro.sched.dpor import RaceAnalyzer, accesses_conflict
 from repro.sched.policy import DEPENDENT, ExhaustivePolicy
@@ -210,10 +208,7 @@ def state_fingerprint(simulator: Simulator) -> tuple:
 
 
 class _Visited:
-    """Check-and-add map of visited state fingerprints, stripe-locked.
-
-    Fingerprints are spread across ``stripes`` independent ``(dict, lock)``
-    pairs by hash, so parallel workers rarely contend on the same lock.
+    """Check-and-add map of visited state fingerprints (lite mode).
 
     Plain state caching composes unsoundly with sleep sets: a state first
     reached with sleep set ``S`` has only the futures outside ``S``
@@ -224,42 +219,22 @@ class _Visited:
     one sleeps on — everything the new visit could do, that visit did.
     """
 
-    def __init__(self, stripes: int = 16) -> None:
-        self._stripes = [({}, threading.Lock()) for _ in range(stripes)]
+    def __init__(self) -> None:
+        self._visits: dict = {}
 
     def seen(self, fingerprint, sleep: frozenset = frozenset()) -> bool:
-        visits, lock = self._stripes[hash(fingerprint) % len(self._stripes)]
-        with lock:
-            stored = visits.get(fingerprint)
-            if stored is None:
-                visits[fingerprint] = [sleep]
-                return False
-            if any(previous <= sleep for previous in stored):
-                return True
-            stored[:] = [previous for previous in stored if not sleep <= previous]
-            stored.append(sleep)
+        stored = self._visits.get(fingerprint)
+        if stored is None:
+            self._visits[fingerprint] = [sleep]
             return False
+        if any(previous <= sleep for previous in stored):
+            return True
+        stored[:] = [previous for previous in stored if not sleep <= previous]
+        stored.append(sleep)
+        return False
 
     def __len__(self) -> int:
-        return sum(len(visits) for visits, _lock in self._stripes)
-
-
-class _Budget:
-    """Shared run budget; ``take()`` is False once exhausted."""
-
-    def __init__(self, limit: int | None) -> None:
-        self.limit = limit
-        self.used = 0
-        self.exhausted = False
-        self._lock = threading.Lock()
-
-    def take(self) -> bool:
-        with self._lock:
-            if self.limit is not None and self.used >= self.limit:
-                self.exhausted = True
-                return False
-            self.used += 1
-            return True
+        return len(self._visits)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +297,7 @@ _ROOT = object()  # frontier sentinel: the initial unconstrained run
 
 
 class Explorer:
-    """Depth-first exploration over one instance set."""
+    """Depth-first exploration over one instance set, in one thread."""
 
     def __init__(
         self,
@@ -335,7 +310,6 @@ class Explorer:
         max_depth: int | None = None,
         pruning: bool = True,
         dpor: str = "optimal",
-        workers: int = 1,
         observer_factory: Callable | None = None,
         on_schedule: Callable | None = None,
         keep_results: bool = True,
@@ -348,35 +322,38 @@ class Explorer:
         self.specs = list(specs)
         self.retry = retry
         self.max_steps = max_steps
+        self.max_schedules = max_schedules
         self.max_depth = max_depth
         self.pruning = pruning
         self.dpor = dpor if pruning else "none"
-        self.workers = max(1, workers)
         self.observer_factory = observer_factory
         self.on_schedule = on_schedule
         self.keep_results = keep_results
         # the visited-state dedup composes with sibling enumeration, not
         # with race reversal (see module docstring): lite only
         self.visited = _Visited() if pruning and self.dpor == "lite" else None
-        self.budget = _Budget(max_schedules)
         self.result = ExplorationResult(mode=self.dpor)
-        self._lock = threading.Lock()
         # optimal-mode state: the node registry and the reversal frontier
         self._nodes: dict = {}
         self._frontier: list = []
-        self._registry_lock = threading.Lock()
         self._analyzer = RaceAnalyzer(self.specs) if self.dpor == "optimal" else None
-        self._stop = False
 
     # -- single runs --------------------------------------------------------
-    def _policy(self, prefix, entry_sleep, max_depth=None) -> ExhaustivePolicy:
+    def _take(self) -> bool:
+        """Claim one run of the budget; False (and truncated) once spent."""
+        if self.max_schedules is not None and self.result.runs >= self.max_schedules:
+            self.result.truncated = True
+            return False
+        return True
+
+    def _policy(self, prefix, entry_sleep) -> ExhaustivePolicy:
         return ExhaustivePolicy(
             prefix,
             entry_sleep,
             pruning=self.pruning,
             visited=self.visited,
             fingerprint=state_fingerprint if self.visited is not None else None,
-            max_depth=self.max_depth if max_depth is None else max_depth,
+            max_depth=self.max_depth,
             record_steps=self._analyzer is not None,
             signature_fn=self._analyzer.online_signature if self._analyzer else None,
             conflict=accesses_conflict if self._analyzer else None,
@@ -400,34 +377,33 @@ class Explorer:
         # let consumers (e.g. the certification pipeline) read per-run
         # observer state — monitors are born and die with their run
         schedule_result.observers = observers or []
-        with self._lock:
-            self.result.runs += 1
-            if policy.stop_reason is None:
-                self.result.schedules += 1
-                if self.keep_results:
-                    self.result.results.append(schedule_result)
-            elif policy.stop_reason == "sleep":
-                self.result.pruned_sleep += 1
-            elif policy.stop_reason == "state":
-                self.result.pruned_state += 1
-            elif policy.stop_reason == "depth":
-                self.result.truncated_depth += 1
-        if policy.stop_reason is None and self.on_schedule is not None:
-            self.on_schedule(schedule_result)
+        self.result.runs += 1
+        if policy.stop_reason is None:
+            self.result.schedules += 1
+            if self.keep_results:
+                self.result.results.append(schedule_result)
+            if self.on_schedule is not None:
+                self.on_schedule(schedule_result)
+        elif policy.stop_reason == "sleep":
+            self.result.pruned_sleep += 1
+        elif policy.stop_reason == "state":
+            self.result.pruned_state += 1
+        elif policy.stop_reason == "depth":
+            self.result.truncated_depth += 1
         return schedule_result
 
     # -- DPOR-lite DFS (sibling enumeration) --------------------------------
-    def _dfs(self, root_prefix: list, root_entry_sleep: dict) -> None:
-        """Exhaust the subtree under ``root_prefix``.
+    def _dfs(self) -> None:
+        """Exhaust the scheduling tree by sibling enumeration.
 
-        ``path`` holds the frames of decisions *below* the root prefix; the
+        ``path`` holds the frames of the current run's decisions; the
         deepest frame with an untried, awake sibling is re-opened by
         re-running the simulator with the extended prefix (deterministic
         replay reconstructs the node).
         """
-        if not self.budget.take():
+        if not self._take():
             return
-        policy = self._policy(root_prefix, root_entry_sleep)
+        policy = self._policy([], {})
         self._run(policy)
         path = list(policy.frames)
         while path:
@@ -436,10 +412,10 @@ class Explorer:
             if candidate is None:
                 path.pop()
                 continue
-            if not self.budget.take():
+            if not self._take():
                 return
             frame.choice = candidate
-            prefix = root_prefix + [f.choice for f in path]
+            prefix = [f.choice for f in path]
             if self.pruning:
                 # descendants of the new branch start with the ancestors'
                 # sleep entries plus the fully-explored siblings
@@ -452,24 +428,6 @@ class Explorer:
             frame.tried.append((candidate, policy.candidate_signature or DEPENDENT))
             path.extend(policy.frames)
 
-    def _probe_signature(self, index: int):
-        """First-step signature of root branch ``index`` (one-step run).
-
-        Probe runs are bookkeeping, not exploration — they bypass the
-        stats and the visited set (max_depth stops them before the first
-        fingerprint check).
-        """
-        policy = self._policy([index], {}, max_depth=1)
-        Simulator(
-            self.initial.copy(),
-            self.specs,
-            retry=self.retry,
-            max_steps=self.max_steps,
-            policy=policy,
-            engine_opts=self.engine_opts,
-        ).run()
-        return policy.candidate_signature or DEPENDENT
-
     # -- source-set DPOR (race-driven frontier) -----------------------------
     def _expand(self, item) -> None:
         """Run one frontier item and enqueue the reversals it uncovers."""
@@ -478,19 +436,17 @@ class Explorer:
             entry_sleep: dict = {}
         else:
             key, candidate = item
-            with self._registry_lock:
-                node = self._nodes[key]
-                node.queued.discard(candidate)
-                if candidate in node.scheduled or candidate in node.sleep:
-                    return  # covered since it was enqueued
-                node.scheduled.add(candidate)
-                # descendants start with the node's entry sleep plus the
-                # signatures of the sibling branches explored before them
-                entry_sleep = dict(node.sleep)
-                entry_sleep.update(node.signatures)
+            node = self._nodes[key]
+            node.queued.discard(candidate)
+            if candidate in node.scheduled or candidate in node.sleep:
+                return  # covered since it was enqueued
+            node.scheduled.add(candidate)
+            # descendants start with the node's entry sleep plus the
+            # signatures of the sibling branches explored before them
+            entry_sleep = dict(node.sleep)
+            entry_sleep.update(node.signatures)
             prefix = list(key) + [candidate]
-        if not self.budget.take():
-            self._stop = True
+        if not self._take():
             return
         policy = self._policy(prefix, entry_sleep)
         self._run(policy)
@@ -500,132 +456,56 @@ class Explorer:
         """Register the run's nodes and schedule its race reversals."""
         races = self._analyzer.analyze(policy.steps)
         decisions = list(policy.prefix) + [frame.choice for frame in policy.frames]
-        new_items: list = []
-        reversals = 0
-        with self._registry_lock:
-            if item is not _ROOT:
-                key, candidate = item
-                parent = self._nodes.get(key)
-                if parent is not None:
-                    signature = policy.candidate_signature
-                    parent.signatures[candidate] = (
-                        DEPENDENT if signature is None else signature
-                    )
-            offset = len(policy.prefix)
-            for position, frame in enumerate(policy.frames):
-                node_key = tuple(decisions[: offset + position])
-                node = self._nodes.get(node_key)
-                if node is None:
-                    node = _Node(frame.runnable, frame.sleep, frame.choice)
-                    self._nodes[node_key] = node
-                else:
-                    node.scheduled.add(frame.choice)
-                if frame.tried:
-                    node.signatures.setdefault(frame.choice, frame.tried[0][1])
-            for race in races:
-                if race.depth >= len(decisions):
-                    continue
-                node = self._nodes.get(tuple(decisions[: race.depth]))
-                if node is None:
-                    continue
-                covered = node.scheduled | node.queued | set(node.sleep)
-                if race.initials & covered:
-                    continue  # the reversed trace is already scheduled
-                enabled = [i for i in node.runnable if i not in covered]
-                if not enabled:
-                    continue
-                if race.preferred in race.initials and race.preferred in enabled:
-                    chosen = [race.preferred]
-                else:
-                    in_enabled = [i for i in sorted(race.initials) if i in enabled]
-                    # no initial is schedulable here (e.g. it was blocked at
-                    # this node): conservatively open every awake sibling
-                    chosen = in_enabled[:1] if in_enabled else enabled
-                for index in chosen:
-                    node.queued.add(index)
-                    new_items.append((tuple(decisions[: race.depth]), index))
-                    reversals += 1
-        with self._lock:
-            self.result.races += len(races)
-            self.result.reversals += reversals
-        if new_items:
-            self._push(new_items)
-
-    def _push(self, items: list) -> None:
-        if self.workers <= 1:
-            self._frontier.extend(items)
-        else:
-            with self._frontier_cond:
-                self._frontier.extend(items)
-                self._frontier_cond.notify_all()
-
-    def _drain_sequential(self) -> None:
-        self._frontier = [_ROOT]
-        while self._frontier and not self._stop:
-            self._expand(self._frontier.pop())
-
-    def _drain_parallel(self) -> None:
-        self._frontier = [_ROOT]
-        self._frontier_cond = threading.Condition()
-        busy = [0]
-
-        def worker() -> None:
-            while True:
-                with self._frontier_cond:
-                    while not self._frontier and busy[0] > 0 and not self._stop:
-                        self._frontier_cond.wait()
-                    if (not self._frontier and busy[0] == 0) or self._stop:
-                        self._frontier_cond.notify_all()
-                        return
-                    item = self._frontier.pop()
-                    busy[0] += 1
-                try:
-                    self._expand(item)
-                finally:
-                    with self._frontier_cond:
-                        busy[0] -= 1
-                        self._frontier_cond.notify_all()
-
-        threads = [
-            threading.Thread(target=worker, name=f"dpor-worker-{i}", daemon=True)
-            for i in range(self.workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        if item is not _ROOT:
+            key, candidate = item
+            parent = self._nodes.get(key)
+            if parent is not None:
+                signature = policy.candidate_signature
+                parent.signatures[candidate] = DEPENDENT if signature is None else signature
+        offset = len(policy.prefix)
+        for position, frame in enumerate(policy.frames):
+            node_key = tuple(decisions[: offset + position])
+            node = self._nodes.get(node_key)
+            if node is None:
+                node = _Node(frame.runnable, frame.sleep, frame.choice)
+                self._nodes[node_key] = node
+            else:
+                node.scheduled.add(frame.choice)
+            if frame.tried:
+                node.signatures.setdefault(frame.choice, frame.tried[0][1])
+        self.result.races += len(races)
+        for race in races:
+            if race.depth >= len(decisions):
+                continue
+            node = self._nodes.get(tuple(decisions[: race.depth]))
+            if node is None:
+                continue
+            covered = node.scheduled | node.queued | set(node.sleep)
+            if race.initials & covered:
+                continue  # the reversed trace is already scheduled
+            enabled = [i for i in node.runnable if i not in covered]
+            if not enabled:
+                continue
+            if race.preferred in race.initials and race.preferred in enabled:
+                chosen = [race.preferred]
+            else:
+                in_enabled = [i for i in sorted(race.initials) if i in enabled]
+                # no initial is schedulable here (e.g. it was blocked at
+                # this node): conservatively open every awake sibling
+                chosen = in_enabled[:1] if in_enabled else enabled
+            for index in chosen:
+                node.queued.add(index)
+                self._frontier.append((tuple(decisions[: race.depth]), index))
+                self.result.reversals += 1
 
     # -- entry point --------------------------------------------------------
     def run(self) -> ExplorationResult:
         if self.dpor == "optimal":
-            if self.workers <= 1:
-                self._drain_sequential()
-            else:
-                self._drain_parallel()
-        elif self.workers <= 1:
-            self._dfs([], {})
+            self._frontier = [_ROOT]
+            while self._frontier and not self.result.truncated:
+                self._expand(self._frontier.pop())
         else:
-            # every instance is ready at the root, so the root's enabled
-            # set is simply all of them, in index order
-            roots = list(range(len(self.specs)))
-            # earlier siblings sleep in later subtrees, exactly as the
-            # sequential DFS would leave them — probe their signatures first
-            if self.pruning:
-                signatures = {index: self._probe_signature(index) for index in roots}
-            tasks = []
-            for position, index in enumerate(roots):
-                entry_sleep = (
-                    {earlier: signatures[earlier] for earlier in roots[:position]}
-                    if self.pruning
-                    else {}
-                )
-                tasks.append((index, entry_sleep))
-            parallel_map(
-                lambda task: self._dfs([task[0]], task[1]),
-                tasks,
-                workers=self.workers,
-            )
-        self.result.truncated = self.budget.exhausted
+            self._dfs()
         return self.result
 
 
@@ -654,13 +534,16 @@ def explore(
     toggles pruning entirely (full DFS when off), ``dpor`` selects the
     pruning algorithm — ``"optimal"`` (source-set DPOR with level-aware
     race reversal, the default) or ``"lite"`` (sleep sets + visited-state
-    dedup, the differential baseline).  ``observer_factory`` builds fresh
-    per-run observers (e.g. an anomaly monitor); ``workers`` fans the
-    exploration across threads (optimal mode steals pending reversals from
-    a shared frontier; lite mode pre-splits the root branches).
-    ``engine_opts`` passes extra Engine keyword options to every run
-    (e.g. ``{"vacuum": "off"}`` to disable version GC).
+    dedup, the differential reference).  ``observer_factory`` builds fresh
+    per-run observers (e.g. an anomaly monitor).  ``engine_opts`` passes
+    extra Engine keyword options to every run (e.g. ``{"vacuum": "off"}``
+    to disable version GC).
     """
+    # the explorer is single-threaded; the keyword stays because the frozen
+    # perfbench harness calls ``explore(..., workers=1)``, and any other
+    # count is refused rather than silently run serially
+    if workers != 1:
+        raise ValueError(f"the explorer runs in one thread; workers must be 1, not {workers!r}")
     return Explorer(
         initial,
         specs,
@@ -670,12 +553,12 @@ def explore(
         max_depth=max_depth,
         pruning=pruning,
         dpor=dpor,
-        workers=workers,
         observer_factory=observer_factory,
         on_schedule=on_schedule,
         keep_results=keep_results,
         engine_opts=engine_opts,
     ).run()
+
 
 def invariant_oracle(
     initial: DbState,
@@ -684,7 +567,6 @@ def invariant_oracle(
     *,
     max_schedules: int | None = 64,
     max_steps: int = 20_000,
-    dpor: str = "optimal",
 ) -> dict:
     """Run the explorer as a CEGIS oracle for candidate invariants.
 
@@ -724,7 +606,6 @@ def invariant_oracle(
         specs,
         max_schedules=max_schedules,
         max_steps=max_steps,
-        dpor=dpor,
         on_schedule=check,
         keep_results=False,
     )

@@ -73,7 +73,7 @@ __all__ = [
 #: Option fields a job request may carry besides app/apps/deadline_ms.
 JOB_OPTION_FIELDS = (
     "budget", "seed", "ladder", "snapshot", "use_sdg",
-    "transaction", "level", "max_schedules", "max_depth", "dpor",
+    "transaction", "level", "max_schedules", "max_depth",
     "profile", "pairs",
 )
 

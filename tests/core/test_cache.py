@@ -22,7 +22,6 @@ from repro.core.chooser import analyze_application
 from repro.core.conditions import EXTENDED_LADDER, READ_COMMITTED, check_transaction_at
 from repro.core.formula import TRUE, conj, eq, ge
 from repro.core.interference import InterferenceChecker
-from repro.core.parallel import parallel_map
 from repro.core.program import Read, TransactionType, Write
 from repro.core.prover import clear_prover_caches, prover_cache_stats, simplify
 from repro.core.terms import IntConst, Item, Local
@@ -137,19 +136,6 @@ class TestVerdictCache:
         reset_shared_cache()
         assert shared_cache() is shared_cache()
         reset_shared_cache()
-
-
-# ---------------------------------------------------------------------------
-# parallel primitives
-# ---------------------------------------------------------------------------
-
-
-class TestParallelPrimitives:
-    def test_parallel_map_matches_serial(self):
-        fn = lambda x: x * x
-        serial = parallel_map(fn, list(range(20)), workers=1)
-        threaded = parallel_map(fn, list(range(20)), workers=4)
-        assert serial == threaded == [fn(x) for x in range(20)]
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,10 @@ class TestRunJob:
         with pytest.raises(JobError):
             run_job(JobSpec(kind="analyze", app="missing"))
 
+    def test_workers_other_than_one_rejected(self):
+        with pytest.raises(JobError, match="workers must be 1"):
+            run_job(JobSpec(kind="lint", app="banking"), workers=2)
+
     def test_fuzz_payload_is_a_corpus_row(self):
         spec = JobSpec(kind="fuzz", app="appgen:0", max_schedules=96)
         first = run_job(spec)

@@ -1,9 +1,11 @@
 """Tests for exhaustive schedule exploration (source-set DPOR and lite)."""
 
+import pytest
+
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
-from repro.sched.explore import Explorer, explore, state_fingerprint
+from repro.sched.explore import Explorer, _Visited, explore, state_fingerprint
 from repro.sched.simulator import InstanceSpec, Simulator
 
 
@@ -163,24 +165,47 @@ class TestBounds:
             assert finals == ((("x", 1),), ("T0",))
 
 
-class TestParallelFanOut:
-    def test_workers_agree_with_sequential(self):
+class TestSingleThread:
+    def test_workers_other_than_one_rejected(self):
         initial = DbState(items={"x": 0})
-        specs = specs_for(["x", "x"])
-        sequential = explore(initial.copy(), specs, dpor="lite", workers=1)
-        fanned = explore(initial.copy(), specs, dpor="lite", workers=4)
-        assert final_states(fanned) == final_states(sequential)
-        assert fanned.schedules == sequential.schedules
+        with pytest.raises(ValueError, match="workers must be 1"):
+            explore(initial, specs_for(["x", "x"]), workers=2)
 
-    def test_optimal_workers_reach_the_same_states(self):
-        """Frontier stealing may race sibling launches, so worker runs can
-        exceed the sequential count — but never lose an outcome."""
-        initial = DbState(items={"x": 0})
-        specs = specs_for(["x", "x"])
-        sequential = explore(initial.copy(), specs, dpor="optimal", workers=1)
-        fanned = explore(initial.copy(), specs, dpor="optimal", workers=4)
-        assert final_states(fanned) == final_states(sequential)
-        assert fanned.schedules >= sequential.schedules
+
+class TestVisitedAntichain:
+    """``_Visited.seen``: the sleep-set-aware state cache of lite mode."""
+
+    def test_first_visit_not_pruned(self):
+        visited = _Visited()
+        assert visited.seen("s", frozenset({1})) is False
+        assert len(visited) == 1
+
+    def test_revisit_pruned_iff_a_stored_set_is_a_subset(self):
+        visited = _Visited()
+        visited.seen("s", frozenset({1}))
+        # the stored visit slept on {1} only: it explored at least as much
+        assert visited.seen("s", frozenset({1})) is True
+        assert visited.seen("s", frozenset({1, 2})) is True
+        # {2} and {} allow futures the stored visit slept through
+        assert visited.seen("s", frozenset({2})) is False
+        assert visited.seen("s", frozenset()) is False
+
+    def test_redundant_stored_sets_dropped(self):
+        visited = _Visited()
+        visited.seen("s", frozenset({1, 2}))
+        visited.seen("s", frozenset({1, 3}))
+        assert sorted(map(sorted, visited._visits["s"])) == [[1, 2], [1, 3]]
+        # {1} is a subset of both stored sets: it replaces them
+        assert visited.seen("s", frozenset({1})) is False
+        assert visited._visits["s"] == [frozenset({1})]
+
+    def test_fingerprints_never_prune_each_other(self):
+        visited = _Visited()
+        visited.seen("s", frozenset())
+        assert visited.seen("t", frozenset({1, 2})) is False
+        assert visited.seen("s", frozenset({1})) is True
+        assert visited.seen("t", frozenset({1, 2})) is True
+        assert len(visited) == 2
 
 
 class TestObservers:

@@ -66,15 +66,15 @@ class TestServiceConfigValidation:
 class TestParseJobPayload:
     """The shared payload parser (server executes, router shards)."""
 
-    def test_certify_dpor_option_accepted(self):
-        # `repro submit certify` always sends dpor; it must not 400
+    def test_certify_dpor_field_rejected_with_400(self):
+        # certify always explores with optimal DPOR; the field is gone
+        from repro.service.http import HttpError
         from repro.service.server import parse_job_payload
 
-        specs, _deadline, options = parse_job_payload(
-            "certify", {"app": "banking", "dpor": "lite"}
-        )
-        assert options["dpor"] == "lite"
-        assert specs[0].dpor == "lite"
+        with pytest.raises(HttpError) as excinfo:
+            parse_job_payload("certify", {"app": "banking", "dpor": "lite"})
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == "unknown request fields: dpor"
 
     def test_unknown_field_rejected_with_400(self):
         import pytest as _pytest

@@ -195,6 +195,45 @@ class TestExploreCommand:
             main(["explore", "employees"])
 
 
+def _exit_code(argv) -> int:
+    """``main``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRemovedExplorerKnobs:
+    """The explorer is single-threaded and certify always uses optimal DPOR."""
+
+    def test_explore_workers_rejected(self):
+        code = _exit_code(
+            ["explore", "banking", "--scenario", "withdraw-race", "--workers", "2"]
+        )
+        assert code == 2
+
+    def test_certify_workers_rejected(self):
+        code = _exit_code(
+            ["certify", "banking", "--budget", "10", "--max-schedules", "10",
+             "--workers", "2"]
+        )
+        assert code == 2
+
+    def test_certify_dpor_rejected(self):
+        code = _exit_code(
+            ["certify", "banking", "--budget", "10", "--max-schedules", "10",
+             "--dpor", "lite"]
+        )
+        assert code == 2
+
+    def test_submit_dpor_rejected(self):
+        code = _exit_code(
+            ["submit", "certify", "banking", "--dpor", "lite",
+             "--port", "1", "--timeout", "2"]
+        )
+        assert code == 2
+
+
 class TestJsonOutput:
     def test_analyze_single_transaction_json(self, capsys):
         import json as json_module
