@@ -15,11 +15,12 @@ snapshot isolation, BMC budget 24, one worker):
 
 All timings are CPU time (``time.process_time``): the benchmark machines
 are small and wall clock is noisy, while the CPU ratio between configs is
-stable.  The seed reference is re-measured in the same session, the same
-way, from a temporary checkout of the pre-PR commit (``git archive`` into
-a temporary directory, run in a fresh interpreter), so
-``speedup_vs_seed`` is a ratio of two runs on one machine.  The bench
-needs that commit in the local history (not a shallow clone).
+stable.  The seed reference is re-measured in the same benchmark run,
+the same way, from a temporary checkout of the pre-PR commit
+(``git archive`` into a temporary directory, run in a fresh
+interpreter), so ``speedup_vs_seed`` is a ratio of two runs on one
+machine.  The bench needs that commit in the local history (not a
+shallow clone).
 
 Emits ``BENCH_prover.json`` and the E14 text table.
 """
@@ -50,7 +51,7 @@ BUDGET = 24
 SEED_COMMIT = "abe2034"
 SEED_METHOD = (
     "process_time around analyze_application, tpcc-lite, extended ladder +"
-    " snapshot, budget 24, one thread, fresh interpreter, same session"
+    " snapshot, budget 24, one thread, fresh interpreter, same benchmark run"
 )
 
 #: Runs in the seed tree: the ``cold`` configuration as that commit had it.
@@ -201,8 +202,8 @@ def test_levels_byte_identical_across_configs(sweep):
 
 def test_cold_run_beats_seed_by_5x(sweep):
     """Acceptance: ≥5x cold-run improvement from the in-process layers alone
-    (no persistence involved in the cold config), as a same-session CPU
-    ratio against the seed commit re-run on this machine."""
+    (no persistence involved in the cold config), as a CPU ratio against
+    the seed commit re-run in the same benchmark run."""
     speedup = _speedup(sweep, "cold")
     assert speedup >= 5.0, (
         f"cold speedup only {speedup:.2f}x: {sweep['cold']['cpu_s']:.2f} s"
