@@ -4,11 +4,12 @@ A :class:`JobSpec` is the *semantic* description of one unit of analysis
 work: the kind (``analyze`` / ``certify`` / ``lint``), the application, and
 every knob that can change the produced report (budget, seed, ladder, …).
 Runtime knobs that cannot change the result — cache instances,
-persistence directories — are deliberately *not* part of the spec: they are passed to :func:`run_job` separately.  This split
-is what makes the spec's :meth:`~JobSpec.fingerprint` a sound deduplication
-key for the service batcher (two requests with equal fingerprints provably
-produce equal payloads) and what makes the HTTP results byte-identical to
-the batch CLI: both fronts call :func:`run_job` and serialise the same
+persistence directories — are deliberately *not* part of the spec: they
+are passed to :func:`run_job` separately.  This split is what makes the
+spec's :meth:`~JobSpec.fingerprint` a sound deduplication key for the
+service batcher (two requests with equal fingerprints provably produce
+equal payloads) and what makes the HTTP results byte-identical to the
+batch CLI: both fronts call :func:`run_job` and serialise the same
 ``payload`` dict.
 
 ``JobResult.payload`` is the deterministic report; ``JobResult.extras``
@@ -184,11 +185,11 @@ def run_job(
     """Execute one job and return its deterministic payload.
 
     ``cache`` defaults to the process-shared verdict cache; the service
-    passes its own long-lived instance.  Persistence (``cache_dir`` / ``no_persist``) is a runtime concern: the
-    service warms its store once at boot and passes ``no_persist=True``
-    here.  ``checker_hook`` (analyze
-    only) receives the freshly built InterferenceChecker before the run —
-    the CLI uses it to attach a telemetry latency observer.
+    passes its own long-lived instance.  Persistence (``cache_dir`` /
+    ``no_persist``) is a runtime concern: the service warms its store once
+    at boot and passes ``no_persist=True`` here.  ``checker_hook``
+    (analyze only) receives the freshly built InterferenceChecker before
+    the run — the CLI uses it to attach a telemetry latency observer.
     """
     # jobs run in this thread; the keyword stays because the frozen
     # perfbench harness calls ``run_job(spec, workers=1)``, and any other

@@ -543,7 +543,9 @@ def explore(
     # perfbench harness calls ``explore(..., workers=1)``, and any other
     # count is refused rather than silently run serially
     if workers != 1:
-        raise ValueError(f"the explorer runs in one thread; workers must be 1, not {workers!r}")
+        raise ValueError(
+            f"the explorer runs in one thread; workers must be 1, not {workers!r}"
+        )
     return Explorer(
         initial,
         specs,
