@@ -73,6 +73,7 @@ from repro.core.program import (
     Update,
     While,
     Write,
+    execute,
 )
 from repro.core.prover import Verdict, is_satisfiable, is_valid
 from repro.core.resources import overlaps
@@ -145,11 +146,8 @@ def canonical_read_post(stmt: Statement) -> Formula:
         select = stmt
 
         def buffer_matches(state, env):
-            probe = Select(
-                select.table, select.into, select.where, select.attrs, select.row
-            )
             scratch = dict(env)
-            probe.execute(state, scratch)
+            execute((select,), state, scratch)
             return env.get(select.into) == scratch.get(select.into)
 
         return AbstractPred(
@@ -161,11 +159,8 @@ def canonical_read_post(stmt: Statement) -> Formula:
         scalar = stmt
 
         def value_matches(state, env):
-            probe = SelectScalar(
-                scalar.table, scalar.attr, scalar.into, scalar.where, scalar.row, scalar.default
-            )
             scratch = dict(env)
-            probe.execute(state, scratch)
+            execute((scalar,), state, scratch)
             return env.get(scalar.into) == scratch.get(scalar.into)
 
         return AbstractPred(

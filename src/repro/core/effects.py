@@ -218,9 +218,6 @@ class _Guard(Statement):
 
     cond: Formula
 
-    def execute(self, state, env) -> None:  # pragma: no cover - analysis only
-        raise NotImplementedError
-
 
 def write_sets_intersection_condition(
     writes_a: list,

@@ -42,12 +42,12 @@ from repro.core.cache import FORMULA_SCOPE, FULL_SCOPE, VerdictCache, fingerprin
 from repro.core.domains import DEFAULT_BUDGET, DomainSpec, iter_assignments, split_budget
 from repro.core.formula import FALSE, Formula, TRUE, conj, disj, eq, implies
 from repro.core.program import (
-    ForEach,
-    If,
     Statement,
     TransactionType,
-    While,
     Write,
+    execute,
+    operations,
+    perform,
 )
 from repro.core.prover import Verdict, is_valid
 from repro.core.resources import overlaps
@@ -194,47 +194,24 @@ def trace(txn: TransactionType, state: DbState, args: dict) -> Trace:
     # a single state object (which also lets identity-keyed evaluation memos
     # collapse those positions)
     snap: DbState | None = None
-
-    def run(stmts: Sequence[Statement]) -> None:
-        nonlocal snap
-        for stmt in stmts:
-            if isinstance(stmt, If):
-                branch = stmt.then if stmt.cond.evaluate(state, env) else stmt.orelse
-                run(branch)
-            elif isinstance(stmt, While):
-                fuel = 64
-                while stmt.cond.evaluate(state, env):
-                    fuel -= 1
-                    if fuel < 0:
-                        raise EvaluationError("loop fuel exhausted in trace")
-                    run(stmt.body)
-            elif isinstance(stmt, ForEach):
-                buffered = env.get(stmt.buffer, ())
-                for packed in buffered:
-                    row = dict(packed)
-                    for attr, local in stmt.bind:
-                        env[local] = row.get(attr)
-                    run(stmt.body)
-            elif stmt.is_db_write:
-                envs.append(dict(env))
-                if snap is None:
-                    snap = state.fork()
-                states.append(snap)
-                stmt.execute(state, env)
-                after = state.fork()
-                events.append(TraceEvent(stmt, snap, after, True))
-                snap = after
-            elif stmt.is_db_read:
-                envs.append(dict(env))
-                if snap is None:
-                    snap = state.fork()
-                states.append(snap)
-                stmt.execute(state, env)
-                events.append(TraceEvent(stmt, snap, snap, False))
-            else:
-                stmt.execute(state, env)
-
-    run(txn.body)
+    ops = operations(txn.body, env)
+    result = None
+    while True:
+        try:
+            stmt, op, op_args = ops.send(result)
+        except StopIteration:
+            break
+        envs.append(dict(env))
+        if snap is None:
+            snap = state.fork()
+        states.append(snap)
+        result = perform(state, op, op_args)
+        if stmt.is_db_write:
+            after = state.fork()
+            events.append(TraceEvent(stmt, snap, after, True))
+            snap = after
+        else:
+            events.append(TraceEvent(stmt, snap, snap, False))
     envs.append(dict(env))
     states.append(snap if snap is not None else state.fork())
     return Trace(events, envs, states)
@@ -280,9 +257,9 @@ def _event_undo(event: TraceEvent) -> tuple:
     """The event's undo recipe, diffed once and cached on the event.
 
     Rollback scenarios replay the same event's inverse against many
-    states; diffing the full snapshots each time (the old ``_restore``)
-    was a top-three BMC cost.  The recipe is a pure function of the
-    immutable ``before``/``after`` snapshots.
+    states; diffing the full snapshots each time was a top-three BMC
+    cost.  The recipe is a pure function of the immutable
+    ``before``/``after`` snapshots.
     """
     recipe = event.undo
     if recipe is None:
@@ -359,11 +336,6 @@ def _apply_undo(current: DbState, recipe: tuple) -> None:
             current.delete_rows(table, _once_matcher(dict(key)))
         for key in removed:
             current.insert_row(table, dict(key))
-
-
-def _restore(current: DbState, after: DbState, before: DbState) -> None:
-    """Apply the inverse of the ``before -> after`` delta onto ``current``."""
-    _apply_undo(current, _undo_recipe(before, after))
 
 
 def _once_matcher(row: dict):
@@ -811,7 +783,7 @@ class InterferenceChecker:
             return entry[3]
         after = state.fork()
         try:
-            stmt.execute(after, dict(env))
+            execute((stmt,), after, dict(env))
         except EvaluationError:
             after = None
         if len(self._stmt_memo) < 200_000:
@@ -1427,30 +1399,6 @@ def _event_delta(event: TraceEvent) -> frozenset:
         delta = frozenset(out)
         event.delta = delta
     return delta
-
-
-def _delta_locations(before: DbState, after: DbState) -> set:
-    """Locations changed between two states (for lock-conflict filtering)."""
-    out: set = set()
-    for name in set(before.items) | set(after.items):
-        if before.items.get(name) != after.items.get(name):
-            out.add(("item", name))
-    for array in set(before.arrays) | set(after.arrays):
-        indices = set(before.arrays.get(array, {})) | set(after.arrays.get(array, {}))
-        for index in indices:
-            old = before.arrays.get(array, {}).get(index, {})
-            new = after.arrays.get(array, {}).get(index, {})
-            for attr in set(old) | set(new):
-                if old.get(attr) != new.get(attr):
-                    out.add(("field", array, index, attr))
-    for table in set(before.tables) | set(after.tables):
-        old_rows = _row_multiset(before.tables.get(table, []))
-        new_rows = _row_multiset(after.tables.get(table, []))
-        if old_rows != new_rows:
-            for key in set(old_rows) | set(new_rows):
-                if old_rows.get(key, 0) != new_rows.get(key, 0):
-                    out.add(("row", table, key))
-    return out
 
 
 def _activation_positions(assertion: CriticalAssertion, target_trace: Trace) -> list:

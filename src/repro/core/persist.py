@@ -454,12 +454,6 @@ class PersistentStore:
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def _seen(self) -> set:
-        # kept as an alias: the fleet tests (and any external poker) reach
-        # for the seen-name set by its historical name
-        return self._log.seen
-
     def segment_count(self) -> int:
         return self._log.segment_count()
 

@@ -6,15 +6,22 @@ and loops whose guards mention only local variables.  Section 4 extends the
 model to relational databases with predicate-bearing SELECT / UPDATE /
 INSERT / DELETE statements.  This module implements both.
 
-Statements are immutable and serve three masters:
+Statements are immutable and serve two masters:
 
 * the *static analysis* asks for their read/written resources, their
   symbolic effects (via :mod:`repro.core.sp` and :mod:`repro.core.effects`)
   and their annotations;
-* the *bounded model checker* executes them directly against a
-  :class:`repro.core.state.DbState`;
-* the *schedule simulator* executes them operation-by-operation through the
-  transactional engine (:mod:`repro.sched.interpreter`).
+* *concrete execution* has one semantics, :func:`operations`: it runs
+  control flow and local assignments against the workspace and yields one
+  storage operation per database statement.  :func:`execute` answers the
+  operations from a :class:`repro.core.state.DbState` (the bounded model
+  checker and serial replay); the schedule simulator answers them from the
+  transactional engine (:mod:`repro.sched.simulator`).
+
+Guards, WHERE clauses, SET/VALUES expressions and array indices are
+evaluated against the workspace alone, so their constructors reject any
+database read in them; a row attribute of the statement's own row variable
+is the one exception.
 
 A :class:`TransactionType` packages a program body with the paper's triple
 (1): the relevant consistency conjuncts ``I_i``, the parameter precondition
@@ -25,7 +32,7 @@ that lets ``Q_i`` refer to initial values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.formula import (
@@ -33,14 +40,18 @@ from repro.core.formula import (
     RowAttr,
     TRUE,
     _bind_row,
+    _resources_of_atoms,
 )
 from repro.core.resources import ArrayResource, Resource, ScalarResource, TableResource
 from repro.core.state import DbState, Row
 from repro.core.terms import Field, Item, Local, LogicalVar, Param, Term, Value
 from repro.errors import EvaluationError, ProgramError
 
-#: Fuel cap for concrete execution of While loops (model checking only).
+#: Fuel cap for concrete execution of While loops (every driver).
 LOOP_FUEL = 64
+
+#: The empty database workspace-only clauses are evaluated against.
+_WORKSPACE = DbState()
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +70,6 @@ class Statement:
     def read_resources(self) -> frozenset[Resource]:
         """Database resources this statement (or its body) may read."""
         return frozenset()
-
-    def execute(self, state: DbState, env: dict) -> None:
-        """Concrete big-step execution, mutating ``state`` and ``env``."""
-        raise NotImplementedError
 
     def substatements(self) -> Sequence["Statement"]:
         """Directly nested statements (bodies of control structures)."""
@@ -94,13 +101,15 @@ def _target_resource(target: Term) -> Resource:
 
 
 def _term_read_resources(term: Term) -> frozenset[Resource]:
-    out: set[Resource] = set()
-    for atom in term.atoms():
-        if isinstance(atom, Item):
-            out.add(ScalarResource(atom.name))
-        elif isinstance(atom, Field):
-            out.add(ArrayResource(atom.array, atom.attr))
-    return frozenset(out)
+    return frozenset(_resources_of_atoms(term.atoms()))
+
+
+def _workspace_only(what: str, *clauses: Term | Formula) -> None:
+    """Reject clauses that read the database (they see only the workspace)."""
+    for clause in clauses:
+        reads = clause.resources() if isinstance(clause, Formula) else _term_read_resources(clause)
+        if reads:
+            raise ProgramError(f"{what} must not read the database: {clause!r}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +129,11 @@ class Read(Statement):
     def __post_init__(self) -> None:
         if not isinstance(self.source, (Item, Field)):
             raise ProgramError(f"read source must be an item or field: {self.source!r}")
+        if isinstance(self.source, Field):
+            _workspace_only("array index", self.source.index)
 
     def read_resources(self) -> frozenset[Resource]:
         return _term_read_resources(self.source)
-
-    def execute(self, state: DbState, env: dict) -> None:
-        env[self.into] = self.source.evaluate(state, env)
 
     @property
     def is_db_read(self) -> bool:
@@ -152,14 +160,11 @@ class ReadRecord(Statement):
     post: Formula | None = None
     label: str | None = None
 
-    def read_resources(self) -> frozenset[Resource]:
-        out = {ArrayResource(self.array, attr) for attr, _local in self.binds}
-        return frozenset(out) | _term_read_resources(self.index)
+    def __post_init__(self) -> None:
+        _workspace_only("array index", self.index)
 
-    def execute(self, state: DbState, env: dict) -> None:
-        index = self.index.evaluate(state, env)
-        for attr, local in self.binds:
-            env[local] = state.read_field(self.array, index, attr)
+    def read_resources(self) -> frozenset[Resource]:
+        return frozenset(ArrayResource(self.array, attr) for attr, _local in self.binds)
 
     @property
     def is_db_read(self) -> bool:
@@ -187,28 +192,12 @@ class Write(Statement):
     def __post_init__(self) -> None:
         if not isinstance(self.target, (Item, Field)):
             raise ProgramError(f"write target must be an item or field: {self.target!r}")
-        for atom in self.value.atoms():
-            if isinstance(atom, (Item, Field)):
-                raise ProgramError(
-                    f"write value must not read the database directly: {self.value!r};"
-                    " read into a local first"
-                )
+        _workspace_only("write value (read into a local first)", self.value)
+        if isinstance(self.target, Field):
+            _workspace_only("array index", self.target.index)
 
     def written_resources(self) -> frozenset[Resource]:
         return frozenset({_target_resource(self.target)})
-
-    def read_resources(self) -> frozenset[Resource]:
-        if isinstance(self.target, Field):
-            return _term_read_resources(self.target.index)
-        return frozenset()
-
-    def execute(self, state: DbState, env: dict) -> None:
-        value = self.value.evaluate(state, env)
-        if isinstance(self.target, Item):
-            state.write_item(self.target.name, value)
-        else:
-            index = self.target.index.evaluate(state, env)
-            state.write_field(self.target.array, index, self.target.attr, value)
 
     @property
     def is_db_write(self) -> bool:
@@ -228,14 +217,7 @@ class LocalAssign(Statement):
     label: str | None = None
 
     def __post_init__(self) -> None:
-        for atom in self.value.atoms():
-            if isinstance(atom, (Item, Field)):
-                raise ProgramError(
-                    f"local assignment must not read the database: {self.value!r}"
-                )
-
-    def execute(self, state: DbState, env: dict) -> None:
-        env[self.into] = self.value.evaluate(state, env)
+        _workspace_only("local assignment", self.value)
 
     def __repr__(self) -> str:
         return f"{self.into!r} := {self.value!r} (local)"
@@ -251,9 +233,7 @@ class If(Statement):
     label: str | None = None
 
     def __post_init__(self) -> None:
-        for atom in self.cond.atoms():
-            if isinstance(atom, (Item, Field)):
-                raise ProgramError(f"guard must not read the database: {self.cond!r}")
+        _workspace_only("guard", self.cond)
 
     def written_resources(self) -> frozenset[Resource]:
         out: frozenset[Resource] = frozenset()
@@ -270,11 +250,6 @@ class If(Statement):
     def substatements(self) -> Sequence[Statement]:
         return tuple(self.then) + tuple(self.orelse)
 
-    def execute(self, state: DbState, env: dict) -> None:
-        branch = self.then if self.cond.evaluate(state, env) else self.orelse
-        for stmt in branch:
-            stmt.execute(state, env)
-
     def __repr__(self) -> str:
         return f"if {self.cond!r} then <{len(self.then)} stmts> else <{len(self.orelse)} stmts>"
 
@@ -288,9 +263,7 @@ class While(Statement):
     label: str | None = None
 
     def __post_init__(self) -> None:
-        for atom in self.cond.atoms():
-            if isinstance(atom, (Item, Field)):
-                raise ProgramError(f"guard must not read the database: {self.cond!r}")
+        _workspace_only("guard", self.cond)
 
     def written_resources(self) -> frozenset[Resource]:
         out: frozenset[Resource] = frozenset()
@@ -307,15 +280,6 @@ class While(Statement):
     def substatements(self) -> Sequence[Statement]:
         return tuple(self.body)
 
-    def execute(self, state: DbState, env: dict) -> None:
-        fuel = LOOP_FUEL
-        while self.cond.evaluate(state, env):
-            fuel -= 1
-            if fuel < 0:
-                raise EvaluationError(f"loop fuel exhausted in {self!r}")
-            for stmt in self.body:
-                stmt.execute(state, env)
-
     def __repr__(self) -> str:
         return f"while {self.cond!r} do <{len(self.body)} stmts>"
 
@@ -331,13 +295,6 @@ def _where_resources(table: str, row: str, where: Formula) -> frozenset[Resource
         if isinstance(atom, RowAttr) and atom.row == row:
             out.add(TableResource(table, atom.attr))
     return frozenset(out)
-
-
-def _match(where: Formula, row_var: str, state: DbState, env: dict) -> Callable[[Row], bool]:
-    def predicate(row: Row) -> bool:
-        return where.evaluate(state, _bind_row(env, row_var, row))
-
-    return predicate
 
 
 @dataclass(frozen=True)
@@ -357,17 +314,14 @@ class Select(Statement):
     post: Formula | None = None
     label: str | None = None
 
+    def __post_init__(self) -> None:
+        _workspace_only("WHERE clause", self.where)
+
     def read_resources(self) -> frozenset[Resource]:
         out = set(_where_resources(self.table, self.row, self.where))
         for attr in self.attrs or ():
             out.add(TableResource(self.table, attr))
         return frozenset(out)
-
-    def execute(self, state: DbState, env: dict) -> None:
-        rows = [dict(row) for row in state.rows(self.table) if _match(self.where, self.row, state, env)(row)]
-        if self.attrs is not None:
-            rows = [{attr: row.get(attr) for attr in self.attrs} for row in rows]
-        env[self.into] = tuple(tuple(sorted(row.items())) for row in rows)
 
     @property
     def is_db_read(self) -> bool:
@@ -394,17 +348,13 @@ class SelectScalar(Statement):
     post: Formula | None = None
     label: str | None = None
 
+    def __post_init__(self) -> None:
+        _workspace_only("WHERE clause", self.where)
+
     def read_resources(self) -> frozenset[Resource]:
         out = set(_where_resources(self.table, self.row, self.where))
         out.add(TableResource(self.table, self.attr))
         return frozenset(out)
-
-    def execute(self, state: DbState, env: dict) -> None:
-        for row in state.rows(self.table):
-            if self.where.evaluate(state, _bind_row(env, self.row, row)):
-                env[self.into] = row.get(self.attr, self.default)
-                return
-        env[self.into] = self.default
 
     @property
     def is_db_read(self) -> bool:
@@ -425,15 +375,11 @@ class SelectCount(Statement):
     post: Formula | None = None
     label: str | None = None
 
+    def __post_init__(self) -> None:
+        _workspace_only("WHERE clause", self.where)
+
     def read_resources(self) -> frozenset[Resource]:
         return _where_resources(self.table, self.row, self.where)
-
-    def execute(self, state: DbState, env: dict) -> None:
-        count = 0
-        for row in state.rows(self.table):
-            if self.where.evaluate(state, _bind_row(env, self.row, row)):
-                count += 1
-        env[self.into] = count
 
     @property
     def is_db_read(self) -> bool:
@@ -465,6 +411,8 @@ class Update(Statement):
         object.__setattr__(
             self, "sets", tuple((attr, coerce(term)) for attr, term in self.sets)
         )
+        _workspace_only("WHERE clause", self.where)
+        _workspace_only("SET expression", *(term for _attr, term in self.sets))
 
     def written_resources(self) -> frozenset[Resource]:
         return frozenset(TableResource(self.table, attr) for attr, _term in self.sets)
@@ -476,13 +424,6 @@ class Update(Statement):
                 if isinstance(atom, RowAttr) and atom.row == self.row:
                     out.add(TableResource(self.table, atom.attr))
         return frozenset(out)
-
-    def execute(self, state: DbState, env: dict) -> None:
-        def updater(row: Row) -> Mapping[str, Value]:
-            row_env = _bind_row(env, self.row, row)
-            return {attr: term.evaluate(state, row_env) for attr, term in self.sets}
-
-        state.update_rows(self.table, _match(self.where, self.row, state, env), updater)
 
     @property
     def is_db_write(self) -> bool:
@@ -508,13 +449,10 @@ class Insert(Statement):
         object.__setattr__(
             self, "values", tuple((attr, coerce(term)) for attr, term in self.values)
         )
+        _workspace_only("inserted value", *(term for _attr, term in self.values))
 
     def written_resources(self) -> frozenset[Resource]:
         return frozenset({TableResource(self.table)})
-
-    def execute(self, state: DbState, env: dict) -> None:
-        row = {attr: term.evaluate(state, env) for attr, term in self.values}
-        state.insert_row(self.table, row)
 
     @property
     def is_db_write(self) -> bool:
@@ -535,14 +473,14 @@ class Delete(Statement):
     post: Formula | None = None
     label: str | None = None
 
+    def __post_init__(self) -> None:
+        _workspace_only("WHERE clause", self.where)
+
     def written_resources(self) -> frozenset[Resource]:
         return frozenset({TableResource(self.table)})
 
     def read_resources(self) -> frozenset[Resource]:
         return _where_resources(self.table, self.row, self.where)
-
-    def execute(self, state: DbState, env: dict) -> None:
-        state.delete_rows(self.table, _match(self.where, self.row, state, env))
 
     @property
     def is_db_write(self) -> bool:
@@ -556,17 +494,14 @@ class Delete(Statement):
 class Rollback(Statement):
     """Explicitly abort the enclosing transaction — an engine-level rollback.
 
-    Only meaningful under the step interpreter, where the engine undoes the
-    transaction's earlier writes; the big-step executor cannot un-execute
-    preceding statements, so atomic execution rejects it.  Used to model
-    scripted ``a<t>`` history tokens and rollback scenarios.
+    Only meaningful under the engine, which undoes the transaction's earlier
+    writes; a :class:`~repro.core.state.DbState` cannot un-execute preceding
+    statements, so :func:`execute` rejects it.  Used to model scripted
+    ``a<t>`` history tokens and rollback scenarios.
     """
 
     reason: str = "rollback"
     label: str | None = None
-
-    def execute(self, state: DbState, env: dict) -> None:
-        raise ProgramError("Rollback cannot be executed atomically")
 
     def __repr__(self) -> str:
         return "ROLLBACK"
@@ -601,17 +536,147 @@ class ForEach(Statement):
     def substatements(self) -> Sequence[Statement]:
         return tuple(self.body)
 
-    def execute(self, state: DbState, env: dict) -> None:
-        buffered = env.get(self.buffer, ())
-        for packed in buffered:
-            row = dict(packed)
-            for attr, local in self.bind:
-                env[local] = row.get(attr)
-            for stmt in self.body:
-                stmt.execute(state, env)
-
     def __repr__(self) -> str:
         return f"foreach row of {self.buffer!r} do <{len(self.body)} stmts>"
+
+
+# ---------------------------------------------------------------------------
+# concrete semantics
+# ---------------------------------------------------------------------------
+
+
+def operations(body: Sequence[Statement], env: dict) -> Iterator[tuple]:
+    """The concrete semantics of ``body``, one storage operation at a time.
+
+    Control flow and local assignments run here, against the workspace
+    ``env`` (mutated in place).  Each database statement yields one
+    ``(stmt, op, args)`` triple: ``op`` names the engine method
+    (``read_item``, ``read_field``, ``read_record``, ``write_item``,
+    ``write_field``, ``select``, ``insert``, ``update``, ``delete`` or
+    ``abort``) and ``args`` its arguments after the transaction.  The driver
+    performs the operation and sends its result back in.  A ``None`` result
+    stands for an operation the driver dropped: a dropped read binds
+    ``None``, a dropped SELECT sees no rows and a dropped record read
+    leaves its locals unbound.
+    """
+    for stmt in body:
+        if isinstance(stmt, Read):
+            source = stmt.source
+            if isinstance(source, Item):
+                value = yield stmt, "read_item", (source.name,)
+            else:
+                index = source.index.evaluate(_WORKSPACE, env)
+                value = yield stmt, "read_field", (source.array, index, source.attr)
+            env[stmt.into] = value
+        elif isinstance(stmt, Write):
+            value = stmt.value.evaluate(_WORKSPACE, env)
+            target = stmt.target
+            if isinstance(target, Item):
+                yield stmt, "write_item", (target.name, value)
+            else:
+                index = target.index.evaluate(_WORKSPACE, env)
+                yield stmt, "write_field", (target.array, index, target.attr, value)
+        elif isinstance(stmt, LocalAssign):
+            env[stmt.into] = stmt.value.evaluate(_WORKSPACE, env)
+        elif isinstance(stmt, If):
+            branch = stmt.then if stmt.cond.evaluate(_WORKSPACE, env) else stmt.orelse
+            yield from operations(branch, env)
+        elif isinstance(stmt, While):
+            fuel = LOOP_FUEL
+            while stmt.cond.evaluate(_WORKSPACE, env):
+                fuel -= 1
+                if fuel < 0:
+                    raise EvaluationError(f"loop fuel exhausted in {stmt!r}")
+                yield from operations(stmt.body, env)
+        elif isinstance(stmt, ForEach):
+            for packed in env.get(stmt.buffer, ()):
+                row = dict(packed)
+                for attr, local in stmt.bind:
+                    env[local] = row.get(attr)
+                yield from operations(stmt.body, env)
+        elif isinstance(stmt, ReadRecord):
+            index = stmt.index.evaluate(_WORKSPACE, env)
+            attrs = tuple(attr for attr, _local in stmt.binds)
+            values = yield stmt, "read_record", (stmt.array, index, attrs)
+            if values is not None:
+                for attr, local in stmt.binds:
+                    env[local] = values[attr]
+        elif isinstance(stmt, (Select, SelectScalar, SelectCount)):
+            rows = yield stmt, "select", (stmt.table, _row_match(stmt.where, stmt.row, env))
+            rows = rows or ()
+            if isinstance(stmt, Select):
+                if stmt.attrs is not None:
+                    rows = [{attr: row.get(attr) for attr in stmt.attrs} for row in rows]
+                env[stmt.into] = tuple(tuple(sorted(row.items())) for row in rows)
+            elif isinstance(stmt, SelectScalar):
+                env[stmt.into] = rows[0].get(stmt.attr, stmt.default) if rows else stmt.default
+            else:
+                env[stmt.into] = len(rows)
+        elif isinstance(stmt, Insert):
+            row = {attr: term.evaluate(_WORKSPACE, env) for attr, term in stmt.values}
+            yield stmt, "insert", (stmt.table, row)
+        elif isinstance(stmt, Update):
+            match = _row_match(stmt.where, stmt.row, env)
+            yield stmt, "update", (stmt.table, match, _row_changes(stmt.sets, stmt.row, env))
+        elif isinstance(stmt, Delete):
+            yield stmt, "delete", (stmt.table, _row_match(stmt.where, stmt.row, env))
+        elif isinstance(stmt, Rollback):
+            yield stmt, "abort", (stmt.reason,)
+        else:
+            raise ProgramError(f"unknown statement kind: {stmt!r}")
+
+
+def _row_match(where: Formula, row_var: str, env: dict) -> Callable[[Row], bool]:
+    def predicate(row: Row) -> bool:
+        return where.evaluate(_WORKSPACE, _bind_row(env, row_var, row))
+
+    return predicate
+
+
+def _row_changes(sets: tuple, row_var: str, env: dict) -> Callable[[Row], dict]:
+    def changes(row: Row) -> dict:
+        row_env = _bind_row(env, row_var, row)
+        return {attr: term.evaluate(_WORKSPACE, row_env) for attr, term in sets}
+
+    return changes
+
+
+def _rollback(state: DbState, reason: str) -> None:
+    raise ProgramError("Rollback cannot be executed atomically")
+
+
+#: The DbState driver: one implementation per storage operation.
+_STATE_OPS: dict = {
+    "read_item": DbState.read_item,
+    "read_field": DbState.read_field,
+    "read_record": lambda state, array, index, attrs: {
+        attr: state.read_field(array, index, attr) for attr in attrs
+    },
+    "write_item": DbState.write_item,
+    "write_field": DbState.write_field,
+    "select": lambda state, table, match: [row for row in state.rows(table) if match(row)],
+    "insert": DbState.insert_row,
+    "update": DbState.update_rows,
+    "delete": DbState.delete_rows,
+    "abort": _rollback,
+}
+
+
+def perform(state: DbState, op: str, args: tuple):
+    """Perform one operation yielded by :func:`operations` on ``state``."""
+    return _STATE_OPS[op](state, *args)
+
+
+def execute(body: Sequence[Statement], state: DbState, env: dict) -> None:
+    """Run ``body`` atomically against ``state``, mutating it and ``env``."""
+    ops = operations(body, env)
+    result = None
+    while True:
+        try:
+            _stmt, op, args = ops.send(result)
+        except StopIteration:
+            return
+        result = perform(state, op, args)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +762,7 @@ class TransactionType:
         final environment (so ``Q_i`` can be evaluated against it).
         """
         env = self.initial_env(args, state)
-        for stmt in self.body:
-            stmt.execute(state, env)
+        execute(self.body, state, env)
         return env
 
     def rename_params(self, suffix: str) -> "TransactionType":

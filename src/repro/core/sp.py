@@ -212,6 +212,3 @@ class _LoopExit(Statement):
     """Internal marker: leaving an unrolled loop (conjoin negated guard)."""
 
     loop: While
-
-    def execute(self, state, env) -> None:  # pragma: no cover - never executed
-        raise ProgramError("loop-exit markers are analysis-internal")

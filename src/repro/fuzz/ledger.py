@@ -129,13 +129,6 @@ class CorpusLedger:
 
     # -- identity ------------------------------------------------------------
 
-    def canonical_rows(self) -> list:
-        """Rows sorted by key with sorted inner keys — the ledger's value."""
-        return [
-            json.loads(json.dumps(row, sort_keys=True))
-            for _key, row in sorted(self.entries.items())
-        ]
-
     def canonical_bytes(self) -> bytes:
         """Byte identity of the ledger, independent of segment layout."""
         lines = [

@@ -1,10 +1,11 @@
 """Schedules: interleaved execution, serializability and semantic checking.
 
-* :mod:`repro.sched.interpreter` — run :class:`repro.core.program`
-  transaction programs operation-by-operation through the engine;
-* :mod:`repro.sched.simulator` — interleave multiple instances under a
-  scripted or seeded-random scheduler, with blocking, deadlock-victim
-  aborts, first-committer-wins aborts, rollback injection and retry;
+* :mod:`repro.sched.simulator` — run :class:`repro.core.program`
+  transaction programs operation-by-operation through the engine (the
+  engine answers :func:`repro.core.program.operations`) and interleave
+  multiple instances under a scripted or seeded-random scheduler, with
+  blocking, deadlock-victim aborts, first-committer-wins aborts, rollback
+  injection and retry;
 * :mod:`repro.sched.schedule` — results: commit order, per-instance
   environments, per-commit committed-state snapshots, engine history;
 * :mod:`repro.sched.serializability` — conflict graph over the committed

@@ -37,7 +37,7 @@ from typing import Callable, Iterable
 
 from repro.core.formula import Formula
 from repro.core.state import DbState
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, ProgramError
 from repro.sched.schedule import ScheduleResult
 
 
@@ -114,14 +114,9 @@ def check_semantic_correctness(
         # replay and require Q_i at the actual commit-time state
         serial_env = dict(outcome.env)
         try:
-            ghost_env = {}
-            for param in outcome.txn_type.params:
-                ghost_env[param] = outcome.args[param.name]
-            for logical, term in outcome.txn_type.snapshot:
-                ghost_env[logical] = term.evaluate(serial_state, ghost_env)
-            serial_env.update(ghost_env)
+            serial_env.update(outcome.txn_type.initial_env(outcome.args, serial_state))
             outcome.txn_type.run(serial_state, outcome.args)
-        except (EvaluationError, KeyError):
+        except (EvaluationError, ProgramError):
             report.notes.append(f"{outcome.name}: serial replay not evaluable")
             continue
         serial_verdict = _evaluate(outcome.txn_type.result, state_at_commit, serial_env)

@@ -22,25 +22,93 @@ Policies are pluggable (see :mod:`repro.sched.policy`); the ``seed`` and
 ``script`` constructor arguments remain as shorthand for
 :class:`~repro.sched.policy.RandomPolicy` and
 :class:`~repro.sched.policy.ReplayPolicy` respectively.
+
+Programs run through :func:`steps`, which answers the storage operations
+of :func:`repro.core.program.operations` (the one concrete semantics of
+the program IR) with engine *operation thunks*.  Each thunk performs
+exactly one engine operation when called; a thunk that raises
+:class:`~repro.engine.locks.WouldBlock` is simply called again later, and
+the program never observes the failed attempt — operations are retried
+transparently, exactly like a lock queue.
+
+Logical-variable snapshots (``x_i = X_i`` in the paper's triple (1)) are
+ghost reads: they are bound from the committed state without taking
+locks, since they exist only for the semantic-correctness oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.core.program import TransactionType
+from repro.core.program import Statement, TransactionType, operations
 from repro.core.state import DbState
 from repro.engine.deadlock import WaitsForGraph
 from repro.engine.locks import WouldBlock
 from repro.engine.manager import Engine
 from repro.engine.transaction import ABORTED as _TXN_ABORTED
-from repro.errors import FirstCommitterWinsAbort, ScheduleError, TransactionAborted
-from repro.sched.interpreter import bind_ghosts, steps
+from repro.engine.transaction import Txn
+from repro.errors import (
+    EvaluationError,
+    FirstCommitterWinsAbort,
+    ScheduleError,
+    TransactionAborted,
+)
 from repro.sched.monitor import GuardVeto
 from repro.sched.policy import RandomPolicy, ReplayPolicy, SchedulePolicy
 from repro.sched.schedule import InstanceOutcome, ScheduleResult
+
+
+def bind_ghosts(txn_type: TransactionType, args: Mapping, state: DbState) -> dict:
+    """Parameters plus logical-variable snapshot, bound without locks."""
+    env: dict = {}
+    for param in txn_type.params:
+        if param.name not in args:
+            raise ScheduleError(f"{txn_type.name}: missing argument {param.name!r}")
+        env[param] = args[param.name]
+    for logical, term in txn_type.snapshot:
+        try:
+            env[logical] = term.evaluate(state, env)
+        except EvaluationError:
+            env[logical] = None
+    return env
+
+
+def steps(
+    engine: Engine,
+    txn: Txn,
+    body: Sequence[Statement],
+    env: dict,
+    observations: dict,
+) -> Iterator[Callable]:
+    """Yield one engine-operation thunk per storage operation of ``body``.
+
+    The caller must ``send`` each thunk's return value back into the
+    generator.  ``env`` is mutated in place so the caller can inspect the
+    transaction's workspace afterwards (the semantic checker needs it).
+    ``observations`` collects the values the transaction actually read,
+    keyed by location — ``("item", name)`` and ``("field", array, index,
+    attr)`` — to bind the logical-variable snapshot to what the
+    transaction truly observed, which is what ``Q_i`` quantifies over.
+    """
+    ops = operations(body, env)
+    result = None
+    while True:
+        try:
+            _stmt, op, args = ops.send(result)
+        except StopIteration:
+            return
+        result = yield partial(getattr(engine, op), txn, *args)
+        if op == "read_item":
+            observations[("item",) + args] = result
+        elif op == "read_field":
+            observations[("field",) + args] = result
+        elif op == "read_record" and result is not None:
+            array, index, attrs = args
+            for attr in attrs:
+                observations[("field", array, index, attr)] = result[attr]
 
 
 @dataclass
@@ -188,7 +256,7 @@ class Simulator:
         rt.env = bind_ghosts(spec.txn_type, spec.args, self.engine.committed_state())
         rt.obs = {}
         rt.first_op_state = None
-        rt.gen = steps(self.engine, rt.txn, spec.txn_type, spec.args, rt.env, rt.obs)
+        rt.gen = steps(self.engine, rt.txn, spec.txn_type.body, rt.env, rt.obs)
         rt.started = True
         rt.status = "running"
         rt.pending = None

@@ -89,25 +89,27 @@ class TestCanonicalPosts:
         assert isinstance(post.right, CountWhere) or isinstance(post.left, CountWhere)
 
     def test_select_buffer_evaluator(self):
+        from repro.core.program import execute
         from repro.core.state import DbState
 
         stmt = Select("T", Local("b", "str"))
         post = canonical_read_post(stmt)
         state = DbState(tables={"T": [{"k": 1}]})
         env = {}
-        stmt.execute(state, env)
+        execute((stmt,), state, env)
         assert post.evaluate(state, env)
         state.insert_row("T", {"k": 2})
         assert not post.evaluate(state, env)
 
     def test_select_scalar_evaluator(self):
+        from repro.core.program import execute
         from repro.core.state import DbState
 
         stmt = SelectScalar("T", "k", Local("v"), default=0)
         post = canonical_read_post(stmt)
         state = DbState(tables={"T": [{"k": 5}]})
         env = {}
-        stmt.execute(state, env)
+        execute((stmt,), state, env)
         assert post.evaluate(state, env)
         state.update_rows("T", lambda r: True, lambda r: {"k": 6})
         assert not post.evaluate(state, env)

@@ -2,8 +2,21 @@
 
 import pytest
 
-from repro.core.formula import RowAttr, TRUE, conj, eq, ge, lt, ne
+from repro.core.formula import (
+    CountWhere,
+    ExistsRow,
+    InTable,
+    RowAttr,
+    TRUE,
+    conj,
+    eq,
+    ge,
+    gt,
+    lt,
+    ne,
+)
 from repro.core.program import (
+    LOOP_FUEL,
     Delete,
     ForEach,
     If,
@@ -18,6 +31,7 @@ from repro.core.program import (
     Update,
     While,
     Write,
+    execute,
 )
 from repro.core.resources import ArrayResource, ScalarResource, TableResource
 from repro.core.state import DbState
@@ -66,104 +80,188 @@ class TestStatementValidation:
         stmt = Update("T", sets=(("done", True),))
         assert stmt.sets[0][1] == BoolConst(True)
 
+    def test_own_row_variable_is_not_a_database_read(self):
+        k = RowAttr("r", "k")
+        Update("T", sets=(("k", k + 1),), where=conj(eq(k, Param("p")), ne(k, 0)))
+        Delete("T", where=eq(k, Local("v")))
+
+
+_COUNT_T = CountWhere("T", "r", TRUE)
+_ROW_K = RowAttr("r", "k")
+
+
+# Clauses the semantics evaluates against the workspace alone.  Were the
+# first two accepted, the drivers would disagree: the workspace has no
+# rows, so the guard would take the else branch where the database has rows,
+# and the SET value cannot be evaluated without the item x.
+_DATABASE_READS = {
+    "count-guard": lambda: If(
+        gt(_COUNT_T, 0),
+        then=(LocalAssign(Local("x"), IntConst(1)),),
+        orelse=(LocalAssign(Local("x"), IntConst(2)),),
+    ),
+    "update-set-item": lambda: Update("T", sets=(("k", Item("x")),)),
+    "while-row-quantifier": lambda: While(ExistsRow("T", "s", eq(RowAttr("s", "k"), 1)), body=()),
+    "update-where": lambda: Update("T", sets=(("k", 1),), where=eq(_ROW_K, Item("x"))),
+    "select-where": lambda: Select(
+        "T", Local("b", "str"), where=eq(_ROW_K, Field("emp", IntConst(0), "rate"))
+    ),
+    "select-scalar-where": lambda: SelectScalar("T", "k", Local("v"), where=lt(_ROW_K, _COUNT_T)),
+    "select-count-where": lambda: SelectCount(
+        "T", Local("n"), where=InTable("T", (("k", IntConst(1)),))
+    ),
+    "delete-where": lambda: Delete("T", where=ge(_ROW_K, Item("max"))),
+    "insert-values": lambda: Insert("T", (("k", _COUNT_T),)),
+    "read-index": lambda: Read(Local("v"), Field("emp", Item("x"), "rate")),
+    "read-record-index": lambda: ReadRecord("emp", Item("x"), (("rate", Local("R")),)),
+    "write-index": lambda: Write(Field("emp", Item("x"), "rate"), IntConst(1)),
+    "write-count": lambda: Write(Item("y"), _COUNT_T),
+    "local-count": lambda: LocalAssign(Local("v"), _COUNT_T),
+}
+
+
+@pytest.mark.parametrize("build", _DATABASE_READS.values(), ids=_DATABASE_READS.keys())
+def test_workspace_clauses_reject_database_reads(build):
+    with pytest.raises(ProgramError):
+        build()
+
+
+class TestLoopFuel:
+    """Every driver of the semantics rejects a loop past ``LOOP_FUEL``."""
+
+    def _spin(self):
+        return TransactionType(
+            name="Spin",
+            body=(
+                LocalAssign(Local("k"), IntConst(0)),
+                While(lt(Local("k"), 100), body=(LocalAssign(Local("k"), Local("k") + 1),)),
+                Write(Item("x"), Local("k")),
+            ),
+        )
+
+    def test_loop_outruns_the_fuel(self):
+        assert LOOP_FUEL < 100
+
+    def test_run(self, state):
+        with pytest.raises(EvaluationError):
+            self._spin().run(state, {})
+
+    def test_trace(self, state):
+        from repro.core.interference import trace
+
+        with pytest.raises(EvaluationError):
+            trace(self._spin(), state, {})
+
+    def test_lone_simulator_run(self, state):
+        from repro.sched.simulator import InstanceSpec, Simulator
+
+        with pytest.raises(EvaluationError):
+            Simulator(state, [InstanceSpec(self._spin(), {}, "SERIALIZABLE")]).run()
+
 
 class TestConcreteExecution:
     def test_read_write_roundtrip(self, state):
         env = {}
-        Read(Local("v"), Item("x")).execute(state, env)
-        LocalAssign(Local("v"), Local("v") + 1).execute(state, env)
-        Write(Item("x"), Local("v")).execute(state, env)
+        body = (
+            Read(Local("v"), Item("x")),
+            LocalAssign(Local("v"), Local("v") + 1),
+            Write(Item("x"), Local("v")),
+        )
+        execute(body, state, env)
         assert state.read_item("x") == 6
 
     def test_field_access(self, state):
         env = {Param("i"): 0}
-        Read(Local("r"), Field("emp", Param("i"), "rate")).execute(state, env)
+        execute((Read(Local("r"), Field("emp", Param("i"), "rate")),), state, env)
         assert env[Local("r")] == 2
 
     def test_read_record(self, state):
         env = {Param("i"): 0}
         stmt = ReadRecord("emp", Param("i"), (("rate", Local("R")), ("hrs", Local("H"))))
-        stmt.execute(state, env)
+        execute((stmt,), state, env)
         assert env[Local("R")] == 2
         assert env[Local("H")] == 3
 
     def test_if_branches(self, state):
         env = {Local("v"): 1}
-        If(
+        stmt = If(
             ge(Local("v"), 0),
             then=(Write(Item("x"), IntConst(10)),),
             orelse=(Write(Item("x"), IntConst(-10)),),
-        ).execute(state, env)
+        )
+        execute((stmt,), state, env)
         assert state.read_item("x") == 10
 
     def test_while_loops(self, state):
         env = {Local("k"): 0}
-        While(lt(Local("k"), 3), body=(LocalAssign(Local("k"), Local("k") + 1),)).execute(
-            state, env
-        )
+        loop = While(lt(Local("k"), 3), body=(LocalAssign(Local("k"), Local("k") + 1),))
+        execute((loop,), state, env)
         assert env[Local("k")] == 3
 
     def test_while_fuel_guard(self, state):
         env = {Local("k"): 0}
         loop = While(ge(Local("k"), 0), body=(LocalAssign(Local("k"), Local("k") + 1),))
         with pytest.raises(EvaluationError):
-            loop.execute(state, env)
+            execute((loop,), state, env)
 
     def test_select_buffers_rows(self, state):
         env = {}
-        Select("T", Local("buff", "str"), where=eq(RowAttr("r", "done", "bool"), False)).execute(
-            state, env
-        )
+        stmt = Select("T", Local("buff", "str"), where=eq(RowAttr("r", "done", "bool"), False))
+        execute((stmt,), state, env)
         assert len(env[Local("buff", "str")]) == 2
 
     def test_select_projects_attrs(self, state):
         env = {}
-        Select("T", Local("buff", "str"), attrs=("k",)).execute(state, env)
+        execute((Select("T", Local("buff", "str"), attrs=("k",)),), state, env)
         rows = [dict(packed) for packed in env[Local("buff", "str")]]
         assert rows == [{"k": 1}, {"k": 2}]
 
     def test_select_scalar(self, state):
         env = {}
-        SelectScalar("T", "k", Local("v"), where=eq(RowAttr("r", "k"), 2)).execute(state, env)
+        stmt = SelectScalar("T", "k", Local("v"), where=eq(RowAttr("r", "k"), 2))
+        execute((stmt,), state, env)
         assert env[Local("v")] == 2
 
     def test_select_scalar_default(self, state):
         env = {}
-        SelectScalar("T", "k", Local("v"), where=eq(RowAttr("r", "k"), 99), default=-1).execute(
-            state, env
-        )
+        stmt = SelectScalar("T", "k", Local("v"), where=eq(RowAttr("r", "k"), 99), default=-1)
+        execute((stmt,), state, env)
         assert env[Local("v")] == -1
 
     def test_select_count(self, state):
         env = {}
-        SelectCount("T", Local("n"), where=TRUE).execute(state, env)
+        execute((SelectCount("T", Local("n"), where=TRUE),), state, env)
         assert env[Local("n")] == 2
 
     def test_insert(self, state):
         env = {Param("p"): 9}
-        Insert("T", (("k", Param("p")), ("done", False))).execute(state, env)
+        execute((Insert("T", (("k", Param("p")), ("done", False))),), state, env)
         assert state.table_size("T") == 3
 
     def test_update_with_row_reference(self, state):
         env = {}
-        Update("T", sets=(("k", RowAttr("r", "k") + 10),), where=eq(RowAttr("r", "k"), 1)).execute(
-            state, env
-        )
+        stmt = Update("T", sets=(("k", RowAttr("r", "k") + 10),), where=eq(RowAttr("r", "k"), 1))
+        execute((stmt,), state, env)
         assert sorted(row["k"] for row in state.rows("T")) == [2, 11]
 
     def test_delete(self, state):
         env = {}
-        Delete("T", where=eq(RowAttr("r", "k"), 1)).execute(state, env)
+        execute((Delete("T", where=eq(RowAttr("r", "k"), 1)),), state, env)
         assert state.table_size("T") == 1
 
     def test_foreach_iterates_buffer(self, state):
         env = {}
-        Select("T", Local("buff", "str"), attrs=("k",)).execute(state, env)
-        ForEach(
-            buffer=Local("buff", "str"),
-            bind=(("k", Local("kk")),),
-            body=(Update("T", sets=(("done", True),), where=eq(RowAttr("r", "k"), Local("kk"))),),
-        ).execute(state, env)
+        body = (
+            Select("T", Local("buff", "str"), attrs=("k",)),
+            ForEach(
+                buffer=Local("buff", "str"),
+                bind=(("k", Local("kk")),),
+                body=(
+                    Update("T", sets=(("done", True),), where=eq(RowAttr("r", "k"), Local("kk"))),
+                ),
+            ),
+        )
+        execute(body, state, env)
         assert all(row["done"] for row in state.rows("T"))
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the step interpreter."""
+"""Unit tests for the engine driver of the program semantics (``steps``)."""
 
 import pytest
 
@@ -22,13 +22,14 @@ from repro.core.program import (
 from repro.core.state import DbState
 from repro.core.terms import Field, IntConst, Item, Local, LogicalVar, Param
 from repro.engine.manager import Engine
-from repro.sched.interpreter import bind_ghosts, steps
+from repro.sched.simulator import bind_ghosts, steps
 
 
 def drive(engine, txn, txn_type, args, env=None, observations=None):
-    """Run an interpreter generator to completion, executing every thunk."""
+    """Run a ``steps`` generator to completion, executing every thunk."""
     env = env if env is not None else bind_ghosts(txn_type, args, engine.committed_state())
-    gen = steps(engine, txn, txn_type, args, env, observations)
+    observations = observations if observations is not None else {}
+    gen = steps(engine, txn, txn_type.body, env, observations)
     ops = 0
     try:
         thunk = next(gen)

@@ -11,6 +11,8 @@ These cover the algebraic laws everything else leans on:
 * two-phase-locked (SERIALIZABLE) schedules are conflict-serializable.
 """
 
+import functools
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -178,7 +180,7 @@ def test_unsat_formulas_hold_nowhere(formula, state, env):
 @settings(max_examples=100, deadline=None)
 def test_sp_sound_for_reads(pre, state, env, item):
     """If P holds before a read, sp(P, read) holds after."""
-    from repro.core.program import Read
+    from repro.core.program import Read, execute
     from repro.core.sp import sp_statement
 
     if not pre.evaluate(state, env):
@@ -186,7 +188,7 @@ def test_sp_sound_for_reads(pre, state, env, item):
     stmt = Read(tm.Local("u"), tm.Item(item))
     post = sp_statement(pre, stmt).formula
     env_after = dict(env)
-    stmt.execute(state, env_after)
+    execute((stmt,), state, env_after)
     # skolem ghosts: bind them to the overwritten value so the witness works
     ghosts = {
         atom: env[tm.Local("u")]
@@ -200,7 +202,7 @@ def test_sp_sound_for_reads(pre, state, env, item):
 @given(formulas(depth=1), states(), environments(), st.sampled_from(ITEM_NAMES))
 @settings(max_examples=100, deadline=None)
 def test_sp_sound_for_writes(pre, state, env, item):
-    from repro.core.program import Write
+    from repro.core.program import Write, execute
     from repro.core.sp import sp_statement
 
     if not pre.evaluate(state, env):
@@ -209,7 +211,7 @@ def test_sp_sound_for_writes(pre, state, env, item):
     post = sp_statement(pre, stmt).formula
     old_value = state.read_item(item)
     env_after = dict(env)
-    stmt.execute(state, env_after)
+    execute((stmt,), state, env_after)
     ghosts = {
         atom: old_value
         for atom in post.atoms()
@@ -290,13 +292,8 @@ def test_abort_restores_state_exactly(writes, initial):
     assert engine.live_state().same_as(initial)
 
 
-@given(states(), st.integers(min_value=0, max_value=10))
-@settings(max_examples=60, deadline=None)
-def test_serial_engine_run_matches_interpreter(initial, bump):
-    """One transaction through the engine == TransactionType.run."""
+def _bump_case(initial, bump):
     from repro.core.program import Read, TransactionType, Write
-    from repro.engine.manager import Engine
-    from repro.sched.simulator import InstanceSpec, Simulator
 
     txn_type = TransactionType(
         name="T",
@@ -307,10 +304,64 @@ def test_serial_engine_run_matches_interpreter(initial, bump):
             Write(tm.Item("z"), tm.Local("w")),
         ),
     )
+    return txn_type, initial, {}
+
+
+@functools.cache
+def _app_cases() -> list:
+    """Per transaction type of the bundled apps and of a few generated ones,
+    the ``(type, state, args)`` cases on states from the app's domain spec
+    and its scenarios."""
+    from repro.apps import registry
+    from repro.core.domains import iter_assignments
+    from repro.pipeline.scenarios import scenarios_for
+    from repro.workloads.appgen import generate_application
+
+    apps = [(name, factory()) for name, factory in sorted(registry().items())]
+    apps += [(f"appgen:{seed}", generate_application(seed)) for seed in (0, 1, 2, 3)]
+    cases = []
+    for name, app in apps:
+        rng = random.Random(name)
+        app_states = list(itertools.islice(app.spec.iter_states(2000, rng), 12))
+        scenarios = scenarios_for("tpcc-lite" if name == "tpcc" else name)
+        app_states += [scenario.initial() for scenario in scenarios]
+        for txn_type in app.transactions:
+            cases.append(
+                [
+                    (txn_type, state, {param.name: value for param, value in args.items()})
+                    for args in iter_assignments(txn_type.params, app.spec, 6, rng)
+                    for state in app_states
+                ]
+            )
+    return cases
+
+
+@given(
+    st.one_of(
+        st.builds(_bump_case, states(), st.integers(min_value=0, max_value=10)),
+        st.deferred(lambda: st.sampled_from(_app_cases()).flatmap(st.sampled_from)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_serial_engine_run_matches_interpreter(case):
+    """One instance alone through the engine == TransactionType.run: the
+    same final state and the same workspace."""
+    from hypothesis import assume
+
+    from repro.errors import EvaluationError, ProgramError
+    from repro.sched.simulator import InstanceSpec, Simulator
+
+    txn_type, initial, args = case
     direct = initial.copy()
-    txn_type.run(direct, {})
-    result = Simulator(initial.copy(), [InstanceSpec(txn_type, {}, "SERIALIZABLE")]).run()
+    try:
+        env = txn_type.run(direct, args)
+    except (EvaluationError, ProgramError):
+        assume(False)
+    result = Simulator(initial.copy(), [InstanceSpec(txn_type, args, "SERIALIZABLE")]).run()
+    (outcome,) = result.outcomes
+    assert outcome.status == "committed"
     assert result.final.same_as(direct)
+    assert outcome.env == env
 
 
 @given(st.integers(min_value=0, max_value=10_000))
