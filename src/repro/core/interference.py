@@ -394,6 +394,10 @@ def fcw_excuse_formula(
     return fx.write_sets_intersection_condition(pairs, source_targets)
 
 
+#: The state write-target indices (parameter-only terms) evaluate against.
+_EMPTY_STATE = DbState()
+
+
 def _concrete_write_targets(
     txn: TransactionType, args_env: dict, restrict: list | None = None
 ) -> set | None:
@@ -409,7 +413,7 @@ def _concrete_write_targets(
             out.add(("item", target.name))
         else:
             try:
-                index = target.index.evaluate(DbState(), args_env)
+                index = target.index.evaluate(_EMPTY_STATE, args_env)
             except EvaluationError:
                 return None
             out.add(("field", target.array, index, target.attr))
@@ -486,7 +490,6 @@ class InterferenceChecker:
         self._stmt_memo: dict = {}
         self._swt_memo: dict = {}
         self._overlap_memo: dict = {}
-        self._pos_memo: dict = {}
         self._space_memo: dict = {}
         self._combined_memo: dict = {}
 
@@ -668,16 +671,6 @@ class InterferenceChecker:
             self._swt_memo[id(txn)] = (txn, targets)
         return targets
 
-    def _stmt_written(self, stmt: Statement) -> frozenset:
-        """``stmt.written_resources()``, memoised per statement."""
-        entry = self._swt_memo.get(("wr", id(stmt)))
-        if entry is not None and entry[0] is stmt:
-            return entry[1]
-        written = stmt.written_resources()
-        if len(self._swt_memo) < 10_000:
-            self._swt_memo[("wr", id(stmt))] = (stmt, written)
-        return written
-
     def _res_overlaps(self, res: frozenset, stmt: Statement) -> bool:
         """Whether ``stmt``'s written footprint overlaps ``res``, memoised.
 
@@ -690,7 +683,7 @@ class InterferenceChecker:
         entry = self._overlap_memo.get(key)
         if entry is not None and entry[0] is res and entry[1] is stmt:
             return entry[2]
-        result = overlaps(res, self._stmt_written(stmt))
+        result = overlaps(res, stmt.written_resources())
         if len(self._overlap_memo) < 100_000:
             self._overlap_memo[key] = (res, stmt, result)
         return result
@@ -731,17 +724,6 @@ class InterferenceChecker:
         if len(self._combined_memo) < 500_000:
             self._combined_memo[key] = (target_env, source_env, combined)
         return combined
-
-    def _positions(self, assertion: CriticalAssertion, trace_obj: Trace) -> list:
-        """:func:`_activation_positions`, memoised per (assertion, trace)."""
-        key = (id(assertion), id(trace_obj))
-        entry = self._pos_memo.get(key)
-        if entry is not None and entry[0] is assertion and entry[1] is trace_obj:
-            return entry[2]
-        positions = list(_activation_positions(assertion, trace_obj))
-        if len(self._pos_memo) < 500_000:
-            self._pos_memo[key] = (assertion, trace_obj, positions)
-        return positions
 
     def _memo_unit_final(self, source: TransactionType, state0: DbState, args: dict):
         """Final state of ``source`` run atomically from ``state0``, memoised.
@@ -1193,7 +1175,7 @@ class InterferenceChecker:
         # assertion evaluation and hence the witness verdict coincide — so
         # each equivalence class is examined once
         seen: set = set()
-        for position in self._positions(assertion, target_trace):
+        for position in _activation_positions(assertion, target_trace):
             mid_state = target_trace.states[position]
             mid_env = target_trace.envs[position]
             env_key = self._env_key(assertion.formula, mid_env)
@@ -1255,7 +1237,7 @@ class InterferenceChecker:
             # location the source write-locked are reachable interleavings
             cumulative = target_trace.cumulative_writes()
             seen: set = set()
-            for position in self._positions(assertion, target_trace):
+            for position in _activation_positions(assertion, target_trace):
                 if source_written & cumulative[position]:
                     continue  # long write locks forbid this interleaving
                 mid_state = target_trace.states[position]

@@ -35,13 +35,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.core.formula import (
-    Formula,
-    RowAttr,
-    TRUE,
-    _bind_row,
-    _resources_of_atoms,
-)
+from repro.core.formula import Formula, RowAttr, TRUE, _resources_of_atoms
 from repro.core.resources import ArrayResource, Resource, ScalarResource, TableResource
 from repro.core.state import DbState, Row
 from repro.core.terms import Field, Item, Local, LogicalVar, Param, Term, Value
@@ -626,19 +620,19 @@ def operations(body: Sequence[Statement], env: dict) -> Iterator[tuple]:
             raise ProgramError(f"unknown statement kind: {stmt!r}")
 
 
-def _row_match(where: Formula, row_var: str, env: dict) -> Callable[[Row], bool]:
-    def predicate(row: Row) -> bool:
-        return where.evaluate(_WORKSPACE, _bind_row(env, row_var, row))
+def _row_match(node: Term | Formula, row_var: str, env: dict) -> Callable[[Row], Value]:
+    """A WHERE (or SET) clause as a function of the statement's row.
 
-    return predicate
+    The clause is compiled with ``row_var`` bound to frame slot 0, which
+    each call fills with the row it is given.
+    """
+    fn = node.compiled(row_var)
+    return lambda row: fn(_WORKSPACE, env, {0: row})
 
 
 def _row_changes(sets: tuple, row_var: str, env: dict) -> Callable[[Row], dict]:
-    def changes(row: Row) -> dict:
-        row_env = _bind_row(env, row_var, row)
-        return {attr: term.evaluate(_WORKSPACE, row_env) for attr, term in sets}
-
-    return changes
+    fns = [(attr, _row_match(term, row_var, env)) for attr, term in sets]
+    return lambda row: {attr: fn(row) for attr, fn in fns}
 
 
 def _rollback(state: DbState, reason: str) -> None:

@@ -7,6 +7,7 @@ from repro.core.formula import (
     AbstractPred,
     And,
     Cmp,
+    CountWhere,
     Formula,
     Not,
     TRUE,
@@ -14,6 +15,7 @@ from repro.core.formula import (
     eq,
     lt,
 )
+from repro.core.state import DbState
 from repro.core.terms import (
     Add,
     HASH_CONSING,
@@ -50,6 +52,21 @@ class TestInterning:
         # equality ignores the evaluator, so interning would conflate them
         assert a == b
         assert a is not b
+
+    def test_parents_of_abstract_preds_are_not_conflated(self):
+        p1 = AbstractPred("p", evaluator=lambda state, env: True)
+        p2 = AbstractPred("p", evaluator=lambda state, env: False)
+        assert Not(p1) == Not(p2)
+        assert Not(p1) is not Not(p2)
+        assert Not(p1).evaluate(DbState(), {}) is False
+        assert Not(p2).evaluate(DbState(), {}) is True
+        # also through a term embedding the predicate
+        count1 = CountWhere("T", "r", p1)
+        count2 = CountWhere("T", "r", p2)
+        assert count1 is not count2
+        rows = DbState(tables={"T": [{"k": 1}]})
+        assert eq(count1, 1).evaluate(rows, {}) is True
+        assert eq(count2, 1).evaluate(rows, {}) is False
 
     def test_intern_tables_report_sizes(self):
         Item("hashcons-stat-probe")
