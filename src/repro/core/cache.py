@@ -43,6 +43,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.terms import Node
+
 #: Scope tags for cached verdicts (see module docstring).
 FORMULA_SCOPE = "formula"
 FULL_SCOPE = "full"
@@ -101,27 +103,13 @@ def _callable_token(obj: Any, _depth: int) -> tuple:
     return tuple(parts)
 
 
-_NODE_BASES: tuple | None = None
-
-
-def _node_bases() -> tuple:
-    """The hash-consed node roots (resolved lazily to avoid an import cycle)."""
-    global _NODE_BASES
-    if _NODE_BASES is None:
-        from repro.core.formula import Formula
-        from repro.core.terms import Term
-
-        _NODE_BASES = (Term, Formula)
-    return _NODE_BASES
-
-
 def _token(obj: Any, _depth: int = 0) -> object:
     """A hashable, order-stable token structurally identifying ``obj``."""
     if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
         return (type(obj).__name__, obj)
     if _depth > 64:
         return ("deep", _opaque(obj))
-    is_node = isinstance(obj, _node_bases())
+    is_node = isinstance(obj, Node)
     if is_node:
         # Term/Formula nodes carry their digest; interned nodes compute it
         # exactly once per process no matter how many trees share them.
